@@ -10,54 +10,35 @@ __version__ = "0.1.0"
 from .errors import (
     CertificationError,
     ConfigError,
-    ConvergenceError,
     DegeneracyError,
     DomainError,
     InsufficientCountsError,
-    PrecisionLossError,
     QgsError,
-    TruncationError,
 )
 from .fock_stats import (
-    CoeffSet,
     FockIndex,
-    JointPND,
     classical_g2,
     classical_g2_closed,
-    coeffs,
     joint_pnd,
-    moment_integral_closed,
     rho_element,
     rho_element_quadrature,
     single_mode_pnd,
-    vacuum_identity_check,
     wavepacket_g2,
 )
-from .mc_oracle import (
-    EmpiricalPND,
-    G2Estimate,
-    SamplerConfig,
-    compare,
-    empirical_g2,
-    empirical_pnd,
-    sample_counts,
-    sample_fields,
-)
+from .mc_oracle import SamplerConfig, empirical_g2, empirical_pnd
 from .scan import (
     MCSettings,
-    ScanConfig,
-    ScanRow,
+    config_from_dict,
+    config_to_dict,
     default_config,
-    default_profile,
+    default_workers,
     emit,
     fit_g2_zero,
     run_scan,
-    thermal_fraction_for_g2,
     validate,
 )
 from .source_model import (
     BeamProfile,
-    MeanCov,
     TwoPointParams,
     cross_spectral_density,
     degree_of_coherence,
@@ -67,71 +48,42 @@ from .source_model import (
     profile_at,
     two_point_params,
 )
-from .specfun import (
-    MomentParams,
-    binomial,
-    gaussian_moment,
-    hyp1f1,
-    ln_gamma,
-    quadrature_moment,
-)
 
 __all__ = [
     "__version__",
     "BeamProfile",
     "CertificationError",
-    "CoeffSet",
     "ConfigError",
-    "ConvergenceError",
     "DegeneracyError",
     "DomainError",
-    "EmpiricalPND",
     "FockIndex",
-    "G2Estimate",
     "InsufficientCountsError",
-    "JointPND",
     "MCSettings",
-    "MeanCov",
-    "MomentParams",
-    "PrecisionLossError",
     "QgsError",
     "SamplerConfig",
-    "ScanConfig",
-    "ScanRow",
-    "TruncationError",
     "TwoPointParams",
-    "binomial",
     "classical_g2",
     "classical_g2_closed",
-    "coeffs",
-    "compare",
+    "config_from_dict",
+    "config_to_dict",
     "cross_spectral_density",
     "default_config",
-    "default_profile",
+    "default_workers",
     "degree_of_coherence",
     "emit",
     "empirical_g2",
     "empirical_pnd",
     "fit_g2_zero",
-    "gaussian_moment",
     "gaussian_pdf",
-    "hyp1f1",
     "joint_pdf",
     "joint_pnd",
-    "ln_gamma",
     "mean_cov",
-    "moment_integral_closed",
     "profile_at",
-    "quadrature_moment",
     "rho_element",
     "rho_element_quadrature",
     "run_scan",
-    "sample_counts",
-    "sample_fields",
     "single_mode_pnd",
-    "thermal_fraction_for_g2",
     "two_point_params",
-    "vacuum_identity_check",
     "validate",
     "wavepacket_g2",
 ]

@@ -45,10 +45,11 @@ def _parse_pairs(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bad pair {chunk!r}; expected N,M")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            n, m = (int(v) for v in chunk.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad pair {chunk!r}; expected N,M") from exc
+        pairs.append((n, m))
     if not pairs:
         raise ConfigError("no pairs given")
     return tuple(pairs)

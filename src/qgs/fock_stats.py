@@ -1,37 +1,51 @@
 """Fock-basis density-matrix elements and multiphoton correlations.
 
-The two-detector field state is a Gaussian mixture of two-mode coherent
-states, so each matrix element <N,M|rho|K,L> reduces to a finite
-combination of bivariate Gaussian moments
+The two-detector field is a Gaussian mixture of two-mode coherent states
+|alpha, beta>: (alpha, beta) is circular complex Gaussian with mean
+m = (mu1, mu2) and covariance C = [[n1, g s], [g s, n2]], s = sqrt(n1 n2).
+Under the standard expansion |alpha> = exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) |n>,
 
-    p(N, M) = (1 / pi sqrt(n1 n2 (1-g^2)))
-              * integral a^N b^M exp(-x a^2 - y b^2 + 2 z a b + u a + v b + w)
+    <N,M|rho|K,L> = E[exp(-|alpha|^2 - |beta|^2)
+                      alpha^N beta^M conj(alpha)^K conj(beta)^L] / sqrt(N! M! K! L!),
 
-taken once with the real parts of (mu1, mu2) as shift parameters and
-once with the imaginary parts.  Eliminating the cross term collapses the
-bivariate moment to a single alternating sum over products of
-one-dimensional Gaussian moments (see :func:`qgs.specfun.moment_ladder`).
+and <1,0|rho|0,0> carries the phase of mu1.  Every element is a scaled
+Taylor coefficient G[N, M, K, L] of one Gaussian generating function
 
-Accuracy strategy: all sums run in double-double with cancellation
-certification.  The alternating k-sum is evaluated in a rescaled form,
+    E[exp(-|alpha|^2 - |beta|^2 + x1 alpha + x2 beta + x3 conj(alpha) + x4 conj(beta))]
+        = exp(x^T A x / 2 + b^T x + c).
 
-    sum_k C(M,k) (-1)^k (z/y)^(M-k) f(x - z^2/y, -(u + v z/y), N+M-k) f(y, v, k),
+With S = (I + C)^-1 and D = det(I + C) = 1 + n1 + n2 + n1 n2 (1 - g^2),
+all three are 2x2 closed forms:
 
-algebraically identical to the direct substitution result but bounded as
-z -> 0, where it reduces exactly to the separable product
-f(x,-u,N) f(y,-v,M).
+    A = [[0, CS], [CS, 0]],   CS = [[n1 + n1 n2 (1-g^2), g s], [g s, n2 + n1 n2 (1-g^2)]] / D,
+    b = (S m, S conj(m)),     c = -m^H S m - ln D.
+
+No inverse of C appears, so g = 1 and nbar -> 0 are ordinary inputs.  The
+elements follow from the multidimensional-Hermite recurrence (Miatto &
+Quesada, Quantum 4, 366 (2020))
+
+    G[k + e_i] = (b_i G[k] + sum_j A_ij sqrt(k_j) G[k - e_j]) / sqrt(k_i + 1).
+
+The alpha-alpha and conj-conj blocks of A are exactly zero, so a step in
+N reads only the slab at N: the table is streamed one (n+1)^3 slab
+G[N, :, :, :] at a time, and p(N, M) = G[N, M, N, M] is read off each
+slab.
+
+There is no cancellation bookkeeping inside the recurrence.  After the
+fact, joint_pnd checks the normalization against the certified marginal
+tails, both marginals against the closed form single_mode_pnd, the
+positivity of every cell and the imaginary part of the diagonal, and
+raises PrecisionLossError when one fails.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import ddouble as dd
-from .ddouble import DDSum, dd_add, dd_div, dd_mul, dd_mul_d, two_prod
 from .errors import (
     CertificationError,
     DegeneracyError,
@@ -40,13 +54,14 @@ from .errors import (
     PrecisionLossError,
     TruncationError,
 )
-from .source_model import TwoPointParams, mu_tilde, split_angles
-from .specfun import binomial, moment_ladder
+from .source_model import TwoPointParams, mu_tilde
 
 DEFAULT_MAX_ORDER = 64
 DEFAULT_TAIL_TOL = 1e-6
 DEFAULT_MARGINAL_FLOOR = 1e-12
-_MIN_SURVIVING_DIGITS = 6.0
+# absolute slack of the after-the-fact checks on p(N, M); roundoff in the
+# recurrence and in the closed-form marginals is ~1e-16 per cell
+_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,34 +83,6 @@ class FockIndex:
 
 
 @dataclass(frozen=True)
-class CoeffSet:
-    """Quadratic-form coefficients of one bivariate moment integral.
-
-    Carries xy - z^2 separately because forming it from x, y, z loses
-    most significant digits as g -> 1.
-    """
-
-    x: float
-    y: float
-    z: float
-    u: float
-    v: float
-    w: float
-    xy_minus_z2: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.x > 0 and self.y > 0):
-            raise DomainError("CoeffSet requires x > 0 and y > 0")
-        if self.discriminant() <= 0:
-            raise DomainError("CoeffSet requires x y > z^2 for convergence")
-
-    def discriminant(self) -> float:
-        if self.xy_minus_z2 is not None:
-            return self.xy_minus_z2
-        return self.x * self.y - self.z * self.z
-
-
-@dataclass(frozen=True)
 class JointPND:
     """Truncated joint photon-number distribution p(N, M).
 
@@ -109,259 +96,82 @@ class JointPND:
     params: TwoPointParams
 
 
-def coeffs(p: TwoPointParams, component: str) -> CoeffSet:
-    """Coefficient set for the real-part or imaginary-part moment integral.
+def _gaussian_form(p: TwoPointParams):
+    """Coefficients (A, b, c) of the generating function.
 
-    component selects which projections of (mu1, mu2) act as the shift
-    parameters (mu, eta) of the bivariate Gaussian.
+    Variables are ordered (alpha, beta, conj(alpha), conj(beta)), the axes
+    (N, M, K, L) of <N,M|rho|K,L>.
     """
-    if component == "real":
-        mu, eta = p.mu1.real, p.mu2.real
-    elif component == "imag":
-        mu, eta = p.mu1.imag, p.mu2.imag
-    else:
-        raise DomainError(f"component must be 'real' or 'imag', got {component!r}")
-    if p.is_degenerate:
-        raise DegeneracyError("coefficient set undefined at g = 1")
-    one_m_g2 = (1.0 - p.g) * (1.0 + p.g)
-    xm1 = 1.0 / (p.n1 * one_m_g2)
-    ym1 = 1.0 / (p.n2 * one_m_g2)
-    z = p.g / (math.sqrt(p.n1 * p.n2) * one_m_g2)
-    u = 2.0 * (mu * xm1 - eta * z)
-    v = 2.0 * (eta * ym1 - mu * z)
-    w = 2.0 * mu * eta * z - xm1 * mu * mu - ym1 * eta * eta
-    # xy - z^2 = (1 + n1 + n2 + n1 n2 (1-g^2)) / (n1 n2 (1-g^2)), exact form
-    disc = (1.0 + p.n1 + p.n2 + p.n1 * p.n2 * one_m_g2) / (p.n1 * p.n2 * one_m_g2)
-    return CoeffSet(x=1.0 + xm1, y=1.0 + ym1, z=z, u=u, v=v, w=w, xy_minus_z2=disc)
+    omg2 = (1.0 - p.g) * (1.0 + p.g)
+    gs = p.g * math.sqrt(p.n1 * p.n2)
+    det = 1.0 + p.n1 + p.n2 + p.n1 * p.n2 * omg2
+    s = np.array([[1.0 + p.n2, -gs], [-gs, 1.0 + p.n1]]) / det
+    cs = np.array([[p.n1 + p.n1 * p.n2 * omg2, gs], [gs, p.n2 + p.n1 * p.n2 * omg2]]) / det
+    A = np.zeros((4, 4))
+    A[:2, 2:] = cs
+    A[2:, :2] = cs.T
+    m = np.array([p.mu1, p.mu2], dtype=complex)
+    b = np.concatenate([s @ m, s @ m.conj()])
+    c = -float((m.conj() @ s @ m).real) - math.log(det)
+    return A, b, c
 
 
-class MomentTable:
-    """Lazy ladder cache of bivariate Gaussian moments for one coefficient set.
+def _raise_index(t: np.ndarray, bi: complex, a_k: float, a_l: float, sq: np.ndarray):
+    """One recurrence step along an unconjugated axis, before the 1/sqrt(k_i + 1).
 
-    value_dd(N, M) returns the raw integral (including the e^w factor) as
-    a double-double pair; max_loss_digits records the worst cancellation
-    seen in any alternating k-sum evaluated so far.
+    t is indexed [..., K, L]; a_k and a_l are the couplings of that axis
+    to the K and L axes, the only nonzero entries of its row of A.
     """
-
-    def __init__(self, c: CoeffSet):
-        self.c = c
-        self._f1 = None
-        self._f2 = None
-        self._zy_pow = None
-        self._ew = math.exp(c.w)
-        self.max_loss_digits = 0.0
-        # a1 = x - z^2/y = (xy - z^2)/y, formed from the exact discriminant
-        self._a1 = dd_div(c.discriminant(), 0.0, c.y, 0.0)
-        # b1 = -(u + v z / y)
-        ph, pl = two_prod(c.v, c.z)
-        ph, pl = dd_div(ph, pl, c.y, 0.0)
-        ph, pl = dd_add(ph, pl, c.u, 0.0)
-        self._b1 = -ph, -pl
-        self._zy = dd_div(c.z, 0.0, c.y, 0.0)
-        if c.z == 0.0:
-            # separable product f(x, -u, N) f(y, -v, M)
-            self._ladder_args = ((c.x, 0.0), (-c.u, 0.0)), ((c.y, 0.0), (-c.v, 0.0))
-        else:
-            self._ladder_args = (self._a1, self._b1), ((c.y, 0.0), (c.v, 0.0))
-
-    def _ensure(self, order: int) -> None:
-        have = -1 if self._f1 is None else self._f1[0].size - 1
-        if order <= have:
-            return
-        order = max(order, 2 * have, 8)
-        self._f1 = moment_ladder(*self._ladder_args[0], order)
-        self._f2 = moment_ladder(*self._ladder_args[1], order)
-        zyh = np.zeros(order + 1)
-        zyl = np.zeros(order + 1)
-        zyh[0] = 1.0
-        for j in range(1, order + 1):
-            zyh[j], zyl[j] = dd_mul(zyh[j - 1], zyl[j - 1], *self._zy)
-        self._zy_pow = zyh, zyl
-
-    def value_dd(self, N: int, M: int):
-        if N < 0 or M < 0:
-            raise DomainError("moment orders must be nonnegative")
-        c = self.c
-        if c.z == 0.0:
-            self._ensure(max(N, M))
-            fa, fb = self._f1, self._f2
-            vh, vl = dd_mul(fa[0][N], fa[1][N], fb[0][M], fb[1][M])
-            return dd_mul_d(vh, vl, self._ew)
-        if c.z < 0.0:
-            # mirror beta -> -beta onto the positive-z branch
-            mirrored = CoeffSet(
-                x=c.x, y=c.y, z=-c.z, u=c.u, v=-c.v, w=c.w, xy_minus_z2=c.xy_minus_z2
-            )
-            vh, vl = MomentTable(mirrored).value_dd(N, M)
-            return (vh, vl) if M % 2 == 0 else (-vh, -vl)
-        self._ensure(N + M)
-        f1h, f1l = self._f1
-        f2h, f2l = self._f2
-        zyh, zyl = self._zy_pow
-        ks = np.arange(M + 1)
-        ch = np.zeros(M + 1)
-        cl = np.zeros(M + 1)
-        for k in ks:
-            sgn = -1 if k & 1 else 1
-            ch[k], cl[k] = dd.dd_from_int(sgn * math.comb(M, k))
-        th, tl = dd_mul(ch, cl, zyh[M - ks], zyl[M - ks])
-        th, tl = dd_mul(th, tl, f1h[N + M - ks], f1l[N + M - ks])
-        th, tl = dd_mul(th, tl, f2h[ks], f2l[ks])
-        acc = DDSum()
-        acc.add_array(th, tl)
-        self.max_loss_digits = max(self.max_loss_digits, acc.loss_digits())
-        return dd_mul_d(acc.hi, acc.lo, self._ew)
-
-    def value(self, N: int, M: int) -> float:
-        return self.value_dd(N, M)[0]
+    out = bi * t
+    out[..., 1:, :] += a_k * sq[1:, None] * t[..., :-1, :]
+    out[..., :, 1:] += a_l * sq[1:] * t[..., :, :-1]
+    return out
 
 
-def moment_integral_closed(c: CoeffSet, N: int, M: int) -> float:
-    """Bivariate moment integral of a^N b^M against exp(-x a^2 - y b^2 + 2 z a b + u a + v b + w)."""
-    return MomentTable(c).value(N, M)
+def _slabs(A: np.ndarray, b: np.ndarray, n: int):
+    """Yield G[N, :, :, :] / exp(c) for N = 0 .. n, each indexed [M, K, L] up to n."""
+    sq = np.sqrt(np.arange(n + 1))
+    ones = np.ones(1, dtype=complex)
+    row_k = np.cumprod(np.concatenate([ones, b[2] / sq[1:]]))
+    row_l = np.cumprod(np.concatenate([ones, b[3] / sq[1:]]))
+    slab = np.empty((n + 1,) * 3, dtype=complex)
+    slab[0] = np.outer(row_k, row_l)
+    for m in range(n):
+        slab[m + 1] = _raise_index(slab[m], b[1], A[1, 2], A[1, 3], sq) / sq[m + 1]
+    yield slab
+    for N in range(n):
+        slab = _raise_index(slab, b[0], A[0, 2], A[0, 3], sq) / sq[N + 1]
+        yield slab
 
 
-@lru_cache(maxsize=4096)
-def _phase_poly(N: int, K: int):
-    """Integer coefficients c_t of (1 - q)^N (1 + q)^K for t = 0 .. N+K.
+def moment_ladder(A: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
+    """Diagonal G[N, M, N, M] / exp(c) for N, M = 0 .. n_max, complex.
 
-    These are the partial binomial sums shared by all quadruple-sum terms
-    with equal total power t = n + k; each carries the quadrant phase
-    i^(K - N - t).  Exact integers, stored as double-double pairs.
+    Streams the recurrence slab by slab; A must have zero alpha-alpha
+    and conj-conj blocks, as _gaussian_form's does.  The name and the
+    position of n_max are relied on by bench/tracing.py, which wraps
+    qgs.fock_stats.moment_ladder and reads its third argument as the order.
     """
-    poly = [1]
-    for _ in range(N):
-        prev = poly
-        poly = [0] * (len(prev) + 1)
-        for i, cv in enumerate(prev):
-            poly[i] += cv
-            poly[i + 1] -= cv
-    for _ in range(K):
-        prev = poly
-        poly = [0] * (len(prev) + 1)
-        for i, cv in enumerate(prev):
-            poly[i] += cv
-            poly[i + 1] += cv
-    hh = np.zeros(len(poly))
-    ll = np.zeros(len(poly))
-    for i, cv in enumerate(poly):
-        hh[i], ll[i] = dd.dd_from_int(cv)
-    hh.setflags(write=False)
-    ll.setflags(write=False)
-    return hh, ll
-
-
-class _ElementEngine:
-    """Shared moment tables and element assembly for one parameter set."""
-
-    def __init__(self, params: TwoPointParams):
-        if params.is_degenerate:
-            raise DegeneracyError("matrix elements via moment sums require g < 1")
-        self.params = params
-        self.re = MomentTable(coeffs(params, "real"))
-        self.im = MomentTable(coeffs(params, "imag"))
-        one_m_g2 = (1.0 - params.g) * (1.0 + params.g)
-        self._norm = 1.0 / (math.pi * math.sqrt(params.n1 * params.n2 * one_m_g2))
-        self._ptab: dict[str, tuple] = {}
-
-    def warm(self, tmax: int, smax: int) -> None:
-        self._p_table("real", tmax, smax)
-        self._p_table("imag", tmax, smax)
-
-    def _p_table(self, which: str, tmax: int, smax: int):
-        """Normalized moment table P[t, s] as double-double arrays."""
-        tab = self._ptab.get(which)
-        if tab is not None and tab[0].shape[0] > tmax and tab[0].shape[1] > smax:
-            return tab
-        nt = tmax + 1 if tab is None else max(tmax + 1, 2 * tab[0].shape[0])
-        ns = smax + 1 if tab is None else max(smax + 1, 2 * tab[0].shape[1])
-        src = self.re if which == "real" else self.im
-        ph = np.zeros((nt, ns))
-        pl = np.zeros((nt, ns))
-        for t in range(nt):
-            for s in range(ns):
-                vh, vl = src.value_dd(t, s)
-                ph[t, s], pl[t, s] = dd_mul_d(vh, vl, self._norm)
-        self._ptab[which] = (ph, pl)
-        return ph, pl
-
-    def element_dd(self, idx: FockIndex):
-        """Matrix element <N,M|rho|K,L> as (re_dd, im_dd, loss_digits)."""
-        N, M, K, L = idx.N, idx.M, idx.K, idx.L
-        tmax, smax = N + K, M + L
-        prh, prl = self._p_table("real", tmax, smax)
-        pih, pil = self._p_table("imag", tmax, smax)
-        c1h, c1l = _phase_poly(N, K)
-        c2h, c2l = _phase_poly(M, L)
-
-        # term(t, s) = c1[t] c2[s] P_re[t, s] P_im[tmax - t, smax - s],
-        # carrying quadrant phase i^(K - N + L - M - t - s)
-        th, tl = dd_mul(
-            prh[: tmax + 1, : smax + 1],
-            prl[: tmax + 1, : smax + 1],
-            pih[tmax::-1, smax::-1][: tmax + 1, : smax + 1],
-            pil[tmax::-1, smax::-1][: tmax + 1, : smax + 1],
-        )
-        outh, outl = dd_mul(c1h[:, None], c1l[:, None], c2h[None, :], c2l[None, :])
-        th, tl = dd_mul(th, tl, outh, outl)
-
-        base = (K - N + L - M) % 4
-        tt, ss = np.meshgrid(np.arange(tmax + 1), np.arange(smax + 1), indexing="ij")
-        quad = (base - tt - ss) % 4
-        acc_re = DDSum()
-        acc_im = DDSum()
-        for q, acc, sgn in (
-            (0, acc_re, 1.0),
-            (2, acc_re, -1.0),
-            (1, acc_im, 1.0),
-            (3, acc_im, -1.0),
-        ):
-            mask = quad == q
-            if np.any(mask):
-                acc.add_array(sgn * th[mask], sgn * tl[mask])
-
-        scale = math.exp(
-            -0.5
-            * (math.lgamma(N + 1) + math.lgamma(M + 1) + math.lgamma(K + 1) + math.lgamma(L + 1))
-        )
-        re = dd_mul_d(acc_re.hi, acc_re.lo, scale)
-        im = dd_mul_d(acc_im.hi, acc_im.lo, scale)
-        if not (math.isfinite(re[0]) and math.isfinite(im[0])):
-            raise CertificationError(f"element {idx} is not finite")
-
-        # certify cancellation relative to the full element magnitude
-        mag = max(abs(acc_re.hi), abs(acc_im.hi))
-        total_abs = acc_re.abs_sum + acc_im.abs_sum
-        loss = 0.0
-        if mag > 0.0 and total_abs > 0.0:
-            loss = max(0.0, math.log10(total_abs / mag))
-        loss += self.re.max_loss_digits + self.im.max_loss_digits
-        if mag > 0.0 and dd.DD_DIGITS - loss < _MIN_SURVIVING_DIGITS:
-            raise PrecisionLossError(
-                f"element {idx}: only {dd.DD_DIGITS - loss:.1f} digits survive cancellation"
-            )
-        return re, im, loss
-
-
-@lru_cache(maxsize=32)
-def _engine(params: TwoPointParams) -> _ElementEngine:
-    return _ElementEngine(params)
+    ms = np.arange(n_max + 1)
+    return np.stack([slab[ms, N, ms] for N, slab in enumerate(_slabs(A, b, n_max))])
 
 
 def rho_element(
     p: TwoPointParams, idx: FockIndex, max_order: int = DEFAULT_MAX_ORDER
 ) -> complex:
-    """Closed-form density-matrix element <N,M|rho|K,L>.
+    """Density-matrix element <N,M|rho|K,L> from the Gaussian recurrence.
 
     Diagonal elements (N = K, M = L) are the joint photon-number
-    probabilities; they are real and nonnegative up to certified roundoff.
+    probabilities, real and nonnegative up to roundoff.
     """
     if idx.order > max_order:
         raise DomainError(
             f"index order {idx.order} exceeds configured maximum {max_order}"
         )
-    re, im, _ = _engine(p).element_dd(idx)
-    return complex(re[0], im[0])
+    A, b, c = _gaussian_form(p)
+    n = max(idx.N, idx.M, idx.K, idx.L)
+    slab = next(itertools.islice(_slabs(A, b, n), idx.N, None))
+    return complex(math.exp(c) * slab[idx.M, idx.K, idx.L])
 
 
 def rho_element_quadrature(
@@ -410,7 +220,7 @@ def rho_element_quadrature(
         r = m + grid @ b_mat.T
         alpha = r[:, 0] + 1j * r[:, 1]
         beta = r[:, 2] + 1j * r[:, 3]
-        poly = np.conj(alpha) ** N * alpha**K * np.conj(beta) ** M * beta**L
+        poly = alpha**N * np.conj(alpha) ** K * beta**M * np.conj(beta) ** L
         pref = (
             math.exp(c0)
             * abs(np.linalg.det(b_mat))
@@ -488,37 +298,39 @@ def _marginal_tail_order(
     )
 
 
-def _degenerate_amplitude(p: TwoPointParams) -> complex:
-    """Common rescaled amplitude mu-tilde of the g = 1 limit.
+def _certify(p: TwoPointParams, q: np.ndarray) -> np.ndarray:
+    """The after-the-fact checks on the diagonal q = G[N, M, N, M]; returns p(N, M).
 
-    At g = 1 both detectors see splittings of one mode, so their rescaled
-    amplitudes must agree; DegeneracyError otherwise.
+    With t1, t2 the marginal tails beyond the truncation, the joint tail
+    lies in [max(t1, t2), t1 + t2] and each truncated row (column) sum
+    falls short of the closed-form marginal by at most t2 (t1).
     """
-    mt1, mt2 = mu_tilde(p)
-    scale = max(abs(mt1), abs(mt2), 1.0)
-    if abs(mt1 - mt2) > 1e-8 * scale:
-        raise DegeneracyError(
-            "g = 1 limit requires matching rescaled amplitudes at both detectors"
+    n = q.shape[0] - 1
+    m1 = single_mode_pnd(p.n1, p.mu1, n)
+    m2 = single_mode_pnd(p.n2, p.mu2, n)
+    t1 = 1.0 - float(m1.sum())
+    t2 = 1.0 - float(m2.sum())
+    mat = q.real
+    tail = 1.0 - float(mat.sum())
+    short1 = m1 - mat.sum(axis=1)
+    short2 = m2 - mat.sum(axis=0)
+    tol = _CHECK_TOL
+    failed = [
+        name
+        for name, ok in (
+            ("normalization", max(t1, t2) - tol <= tail <= t1 + t2 + tol),
+            ("marginal 1", np.all((-tol <= short1) & (short1 <= t2 + tol))),
+            ("marginal 2", np.all((-tol <= short2) & (short2 <= t1 + tol))),
+            ("positivity", mat.min() >= -tol),
+            ("real diagonal", np.abs(q.imag).max() <= tol),
         )
-    return mt1
-
-
-def joint_pnd_degenerate(p: TwoPointParams, n_max: int) -> np.ndarray:
-    """Joint distribution in the g = 1 limit: split displaced-thermal light.
-
-    A single mode of total thermal weight n1 + n2 and amplitude mu-tilde
-    is divided binomially with ratio n1/(n1+n2).  Requires consistent
-    rescaled amplitudes at the two detectors.
-    """
-    mt1 = _degenerate_amplitude(p)
-    ct, st = split_angles(p)
-    c2, s2 = ct * ct, st * st
-    total = single_mode_pnd(p.n1 + p.n2, mt1, 2 * n_max)
-    out = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        for m in range(n_max + 1):
-            out[n, m] = total[n + m] * math.comb(n + m, n) * c2**n * s2**m
-    return out
+        if not ok
+    ]
+    if failed:
+        raise PrecisionLossError(
+            f"joint distribution at n_max = {n} fails its checks: {', '.join(failed)}"
+        )
+    return np.clip(mat, 0.0, None)
 
 
 def joint_pnd(
@@ -531,29 +343,20 @@ def joint_pnd(
 
     n_max is a floor (requested indices stay available); the truncation
     grows until the certified tail mass falls below tail_tol or the hard
-    cap is hit.  The g = 1 limit dispatches to the exact split law; its
-    amplitude-consistency check runs before the truncation search, so an
-    inconsistent g = 1 input raises DegeneracyError, never TruncationError.
+    cap is hit.  At g = 1 both detectors see splittings of one mode, so
+    their rescaled amplitudes must agree; that is checked before the
+    truncation search, so an inconsistent g = 1 input raises
+    DegeneracyError, never TruncationError.
     """
     if p.is_degenerate:
-        _degenerate_amplitude(p)
+        mt1, mt2 = mu_tilde(p)
+        if abs(mt1 - mt2) > 1e-8 * max(abs(mt1), abs(mt2), 1.0):
+            raise DegeneracyError(
+                "g = 1 limit requires matching rescaled amplitudes at both detectors"
+            )
     n_eff = _marginal_tail_order(p, n_max, tail_tol, max(hard_cap, n_max))
-    if p.is_degenerate:
-        mat = joint_pnd_degenerate(p, n_eff)
-    else:
-        eng = _engine(p)
-        eng.warm(2 * n_eff, 2 * n_eff)
-        mat = np.zeros((n_eff + 1, n_eff + 1))
-        for n in range(n_eff + 1):
-            for m in range(n_eff + 1):
-                re, _, _ = eng.element_dd(FockIndex(n, m, n, m))
-                mat[n, m] = re[0]
-    min_val = float(mat.min())
-    if min_val < -1e-12:
-        raise CertificationError(
-            f"joint distribution has a significantly negative cell: {min_val}"
-        )
-    mat = np.clip(mat, 0.0, None)
+    A, b, c = _gaussian_form(p)
+    mat = _certify(p, math.exp(c) * moment_ladder(A, b, n_eff))
     tail = 1.0 - float(mat.sum())
     if tail >= tail_tol:
         raise TruncationError(
@@ -610,14 +413,3 @@ def classical_g2_closed(p: TwoPointParams) -> float:
         + 2.0 * p.g * math.sqrt(p.n1 * p.n2) * (p.mu1.conjugate() * p.mu2).real
     )
     return cross / (i1 * i2)
-
-
-def vacuum_identity_check(n_max: int) -> bool:
-    """Exact-arithmetic check that sum_k (-1)^k C(n,k) collapses to 0^n."""
-    if n_max > 64:
-        raise DomainError("vacuum identity check supports n_max <= 64")
-    for n in range(n_max + 1):
-        total = sum((-1) ** k * binomial(n, k) for k in range(n + 1))
-        if total != (1 if n == 0 else 0):
-            return False
-    return True

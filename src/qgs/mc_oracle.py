@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, InsufficientCountsError, QgsError
-from .source_model import TwoPointParams, mean_cov, mu_tilde
+from .errors import DomainError, InsufficientCountsError
+from .source_model import TwoPointParams
 
 _BLOCK = 1 << 16
 _COUNT_CAP = 512  # counts beyond this go to overflow_count
-_EIGH_FALLBACK_G = 0.999
 
 
 @dataclass(frozen=True)
@@ -91,24 +90,6 @@ class ComparisonReport:
         }
 
 
-def _field_transform(p: TwoPointParams):
-    """Mean vector and covariance factor C with C C^T = Gamma.
-
-    Cholesky for well-conditioned covariances; symmetric eigenvalue
-    factorization (with tiny-negative clamping) close to degeneracy.
-    """
-    mc = mean_cov(p)
-    if p.g <= _EIGH_FALLBACK_G:
-        try:
-            return mc.mu, np.linalg.cholesky(mc.gamma)
-        except np.linalg.LinAlgError as exc:
-            raise QgsError("covariance factorization failed") from exc
-    evals, evecs = np.linalg.eigh(mc.gamma)
-    if np.min(evals) < -1e-12:
-        raise QgsError(f"covariance has a negative eigenvalue: {np.min(evals)}")
-    return mc.mu, evecs * np.sqrt(np.clip(evals, 0.0, None))
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
@@ -116,46 +97,27 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _block_fields(p: TwoPointParams, rng: np.random.Generator, count: int):
-    """One block of correlated field draws (alpha, beta)."""
-    if p.is_degenerate:
-        # exact degenerate rule: one complex Gaussian, beta locked to alpha
-        mt1, mt2 = mu_tilde(p)
-        if abs(mt1 - mt2) > 1e-8 * max(abs(mt1), abs(mt2), 1.0):
-            raise DegeneracyError(
-                "g = 1 sampling requires matching rescaled amplitudes"
-            )
-        z = rng.standard_normal((count, 2))
-        spread = math.sqrt(p.n1 / 2.0)
-        alpha = p.mu1 + spread * (z[:, 0] + 1j * z[:, 1])
-        beta = p.mu2 + (alpha - p.mu1) * math.sqrt(p.n2 / p.n1)
-        return alpha, beta
-    mu, cfac = _field_transform(p)
+    """One block of correlated field draws (alpha, beta).
+
+    Explicit Cholesky factor of the 2x2 complex covariance, exact at g = 1:
+    alpha = mu1 + sqrt(n1/2) w1 and
+    beta = mu2 + sqrt(n2/2) (g w1 + sqrt(1 - g^2) w2), with w1, w2 of
+    independent standard normal real and imaginary parts.
+    """
     z = rng.standard_normal((count, 4))
-    r = mu + z @ cfac.T
-    return r[:, 0] + 1j * r[:, 1], r[:, 2] + 1j * r[:, 3]
+    w1 = z[:, 0] + 1j * z[:, 1]
+    w2 = z[:, 2] + 1j * z[:, 3]
+    alpha = p.mu1 + math.sqrt(p.n1 / 2.0) * w1
+    beta = p.mu2 + math.sqrt(p.n2 / 2.0) * (
+        p.g * w1 + math.sqrt((1.0 - p.g) * (1.0 + p.g)) * w2
+    )
+    return alpha, beta
 
 
 def _block_plan(n_samples: int):
     n_blocks = (n_samples + _BLOCK - 1) // _BLOCK
     for b in range(n_blocks):
         yield b, min(_BLOCK, n_samples - b * _BLOCK)
-
-
-def sample_fields(cfg: SamplerConfig):
-    """All field draws (alpha, beta) for a configuration, as complex arrays."""
-    alphas = []
-    betas = []
-    for b, count in _block_plan(cfg.n_samples):
-        a, bb = _block_fields(cfg.params, _block_rng(cfg.seed, b), count)
-        alphas.append(a)
-        betas.append(bb)
-    return np.concatenate(alphas), np.concatenate(betas)
-
-
-def sample_counts(field, rng: np.random.Generator):
-    """Photon counts for one field draw: independent Poisson per detector."""
-    alpha, beta = field
-    return int(rng.poisson(abs(alpha) ** 2)), int(rng.poisson(abs(beta) ** 2))
 
 
 def _count_block(args):

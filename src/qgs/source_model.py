@@ -171,9 +171,3 @@ def mu_tilde(p: TwoPointParams):
     ct = math.sqrt(p.n1 / nt)
     st = math.sqrt(p.n2 / nt)
     return p.mu1 / ct, p.mu2 / st
-
-
-def split_angles(p: TwoPointParams):
-    """Cosine and sine of the two-mode splitting angle."""
-    nt = p.n1 + p.n2
-    return math.sqrt(p.n1 / nt), math.sqrt(p.n2 / nt)

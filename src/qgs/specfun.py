@@ -1,4 +1,4 @@
-"""Special functions behind the closed-form photon-number statistics.
+"""Double-double special functions: Gaussian moments, Kummer 1F1, binomials.
 
 The workhorse is the one-dimensional Gaussian moment
 
@@ -8,8 +8,13 @@ whose closed form pairs a gamma factor with a Kummer confluent
 hypergeometric function 1F1 evaluated at b^2/(4a).  Exactly one of the
 two parity branches survives for each n, so only that branch is ever
 evaluated.  Everything here is computed in double-double arithmetic
-(see :mod:`qgs.ddouble`) because downstream consumers feed these values
-into alternating sums with combinatorially growing cancellation.
+(see :mod:`qgs.ddouble`) so that the values survive alternating sums
+with combinatorially growing cancellation.
+
+The photon-number engine in :mod:`qgs.fock_stats` no longer uses this
+module: it runs a complex128 Gaussian Fock recurrence instead.  The
+module is standalone, is not imported by ``import qgs``, and loads
+scipy only inside :func:`quadrature_moment`.
 
 All functions are pure; cached tables are immutable after creation.
 """
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .ddouble import (
     DD_SQRT_PI,
@@ -189,7 +193,7 @@ def _hyp1f1_dd_vec(avec: np.ndarray, b: float, zh: float, zl: float = 0.0):
     raise ConvergenceError("1F1 ladder did not converge")
 
 
-def moment_ladder(a, b, n_max: int):
+def _moment_ladder_dd(a, b, n_max: int):
     """Double-double values f(a, b, n) for n = 0 .. n_max.
 
     a, b may be doubles or (hi, lo) pairs; a > 0 required.  Evaluates the
@@ -200,7 +204,7 @@ def moment_ladder(a, b, n_max: int):
     ah, al = a if isinstance(a, tuple) else (float(a), 0.0)
     bh, bl = b if isinstance(b, tuple) else (float(b), 0.0)
     if not (ah > 0):
-        raise DomainError(f"moment_ladder requires a > 0, got a={ah}")
+        raise DomainError(f"gaussian moment requires a > 0, got a={ah}")
 
     # q = b^2 / (4a)
     qh, ql = dd_mul(bh, bl, bh, bl)
@@ -241,7 +245,7 @@ def moment_ladder(a, b, n_max: int):
 
 def gaussian_moment(p: MomentParams) -> float:
     """Closed form of f(a, b, n) = integral q^n exp(-a q^2 - b q) dq."""
-    fh, fl = moment_ladder(p.a, p.b, p.n)
+    fh, fl = _moment_ladder_dd(p.a, p.b, p.n)
     return float(fh[p.n])
 
 
@@ -252,6 +256,8 @@ def quadrature_moment(p: MomentParams, rel_tol: float = 1e-10) -> float:
     below 1e-15 of the result; a ConvergenceError is raised when the
     adaptive scheme cannot certify rel_tol * (1 + |result|).
     """
+    from scipy import integrate
+
     a, b, n = p.a, p.b, p.n
     half_width = max(20.0, (abs(b) + 10.0 * math.sqrt(n + 1)) / a + 10.0 / math.sqrt(a))
 

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to freeze and check expected values.
 
 Nothing here shares code with the package paths under test: the series
-oracle sums Kummer terms directly in 50-digit arithmetic, the moment
-oracles integrate numerically, and the density oracle uses an explicit
-matrix inverse.
+oracle sums Kummer terms directly in 50-digit arithmetic, the moment and
+element oracles integrate numerically, and the density oracle uses an
+explicit matrix inverse.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -39,23 +41,44 @@ def quad_gaussian_moment(a, b, n, half_width=None, epsabs=1e-14):
     return val, err
 
 
-def dblquad_moment(x, y, z, u, v, w, N, M, lim=15.0):
-    """2D adaptive quadrature of the bivariate moment integrand."""
-    fn = lambda b_, a_: a_**N * b_**M * np.exp(
-        -x * a_ * a_ - y * b_ * b_ + 2 * z * a_ * b_ + u * a_ + v * b_ + w
-    )
-    val, err = integrate.dblquad(
-        fn, -lim, lim, lambda _: -lim, lambda _: lim, epsabs=1e-13, epsrel=1e-11
-    )
-    return val, err
-
-
 def pascal_binomial(n, k):
     """Pascal-triangle big-integer recursion."""
     row = [1]
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def dblquad_single_mode_element(nbar, mu, N, K):
+    """<N|rho|K> of one coherent + thermal mode by 2D adaptive quadrature.
+
+    Integrates P(alpha) exp(-|alpha|^2) alpha^N conj(alpha)^K / sqrt(N! K!)
+    over the plane, with P the Gaussian of mean mu and E|alpha - mu|^2 = nbar,
+    on a box around the peak of the Gaussian part of the integrand.
+    """
+    var = nbar / (1.0 + nbar)
+    centre = complex(mu) / (1.0 + nbar)
+    half = 12.0 * math.sqrt(var) + math.sqrt(N + K)
+    norm = 1.0 / (math.pi * nbar * math.sqrt(math.factorial(N) * math.factorial(K)))
+
+    def part(take):
+        def fn(y, x):
+            a = complex(x, y)
+            w = math.exp(-abs(a - mu) ** 2 / nbar - abs(a) ** 2)
+            return take(w * a**N * a.conjugate() ** K)
+
+        val, _ = integrate.dblquad(
+            fn,
+            centre.real - half,
+            centre.real + half,
+            centre.imag - half,
+            centre.imag + half,
+            epsabs=1e-14,
+            epsrel=1e-12,
+        )
+        return val
+
+    return norm * complex(part(lambda v: v.real), part(lambda v: v.imag))
 
 
 def gaussian_pdf_inverse(mu, gamma, r):
@@ -66,20 +89,3 @@ def gaussian_pdf_inverse(mu, gamma, r):
     det = np.linalg.det(gamma)
     k = gamma.shape[0]
     return float(np.exp(-0.5 * d @ inv @ d) / ((2 * np.pi) ** (k / 2) * np.sqrt(det)))
-
-
-def fit_exponent_coefficients(expo_fn):
-    """Recover (x, y, z, u, v, w) from a quadratic exponent function.
-
-    Solves a 6x6 linear system from evaluations of
-    expo(a, b) = -x a^2 - y b^2 + 2 z a b + u a + v b + w
-    at six generic points.
-    """
-    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0)]
-    rows = []
-    rhs = []
-    for a, b in pts:
-        rows.append([-a * a, -b * b, 2 * a * b, a, b, 1.0])
-        rhs.append(expo_fn(a, b))
-    x, y, z, u, v, w = np.linalg.solve(np.array(rows), np.array(rhs))
-    return x, y, z, u, v, w

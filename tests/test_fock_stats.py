@@ -11,146 +11,34 @@ from qgs.errors import (
     InsufficientCountsError,
 )
 from qgs.fock_stats import (
-    CoeffSet,
     FockIndex,
-    JointPND,
-    MomentTable,
     _marginal_tail_order,
     classical_g2,
     classical_g2_closed,
-    coeffs,
     joint_pnd,
-    joint_pnd_degenerate,
-    moment_integral_closed,
     rho_element,
     rho_element_quadrature,
     single_mode_pnd,
-    vacuum_identity_check,
     wavepacket_g2,
 )
-from qgs.ddouble import dd_mul, dd_mul_d
 from qgs.mc_oracle import SamplerConfig, empirical_pnd
 from qgs.source_model import TwoPointParams
-from qgs.specfun import moment_ladder
 
-from oracles import dblquad_moment, fit_exponent_coefficients
-
-
-class TestCoeffs:
-    def test_uncorrelated_centered(self):
-        p = TwoPointParams(n1=1.0, n2=1.0, g=0.0, mu1=0j, mu2=0j)
-        c = coeffs(p, "real")
-        assert (c.x, c.y, c.z) == (2.0, 2.0, 0.0)
-        assert (c.u, c.v, c.w) == (0.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("g", [0.0, 0.4, 0.9, 0.9999])
-    def test_positive_definite_exponent(self, g):
-        p = TwoPointParams(n1=0.6, n2=2.4, g=g, mu1=1 + 1j, mu2=-0.5j)
-        for comp in ("real", "imag"):
-            c = coeffs(p, comp)
-            assert c.discriminant() > 0
-            assert c.x * c.y - c.z * c.z == pytest.approx(c.discriminant(), rel=1e-7)
-
-    def test_frozen_substitution(self):
-        # n1=2, n2=0.5, g=0.6, mu1=1, mu2=0 (real component)
-        p = TwoPointParams(n1=2.0, n2=0.5, g=0.6, mu1=1.0 + 0j, mu2=0j)
-        c = coeffs(p, "real")
-        assert c.x == pytest.approx(1.78125, rel=1e-14)
-        assert c.y == pytest.approx(4.125, rel=1e-14)
-        assert c.z == pytest.approx(0.9375, rel=1e-14)
-        assert c.u == pytest.approx(1.5625, rel=1e-14)
-        assert c.v == pytest.approx(-1.875, rel=1e-14)
-        assert c.w == pytest.approx(-0.78125, rel=1e-14)
-
-    def test_rederivation_from_exponent(self):
-        # rebuild (x..w) numerically from the shifted-Gaussian exponent plus
-        # the detector kernel, and compare with the analytic coefficients
-        p = TwoPointParams(n1=1.3, n2=0.7, g=0.55, mu1=0.8 + 0j, mu2=-0.4 + 0j)
-        mu, eta = p.mu1.real, p.mu2.real
-        omg = 1 - p.g * p.g
-        X = 1.0 / (p.n1 * omg)
-        Y = 1.0 / (p.n2 * omg)
-        Z = p.g / (math.sqrt(p.n1 * p.n2) * omg)
-
-        def expo(a, b):
-            return (
-                -((a - mu) ** 2) * X
-                - ((b - eta) ** 2) * Y
-                + 2 * Z * (a - mu) * (b - eta)
-                - a * a
-                - b * b
-            )
-
-        x, y, z, u, v, w = fit_exponent_coefficients(expo)
-        c = coeffs(p, "real")
-        assert c.x == pytest.approx(x, rel=1e-10)
-        assert c.y == pytest.approx(y, rel=1e-10)
-        assert c.z == pytest.approx(z, rel=1e-10)
-        assert c.u == pytest.approx(u, rel=1e-10, abs=1e-12)
-        assert c.v == pytest.approx(v, rel=1e-10, abs=1e-12)
-        assert c.w == pytest.approx(w, rel=1e-10, abs=1e-12)
-
-    def test_component_selector(self):
-        p = TwoPointParams(n1=1.0, n2=1.0, g=0.3, mu1=1.0 + 2.0j, mu2=0.5 - 1.0j)
-        cr = coeffs(p, "real")
-        ci = coeffs(p, "imag")
-        assert (cr.x, cr.y, cr.z) == (ci.x, ci.y, ci.z)
-        assert cr.u != ci.u
-        with pytest.raises(DomainError):
-            coeffs(p, "modulus")
-
-    def test_degeneracy(self):
-        p = TwoPointParams(n1=1.0, n2=1.0, g=1.0, mu1=0j, mu2=0j)
-        with pytest.raises(DegeneracyError):
-            coeffs(p, "real")
+from oracles import dblquad_single_mode_element
 
 
-class TestMomentIntegralClosed:
-    def test_separable_unit(self):
-        c = CoeffSet(x=1.0, y=1.0, z=0.0, u=0.0, v=0.0, w=0.0)
-        assert moment_integral_closed(c, 0, 0) == pytest.approx(math.pi, rel=1e-13)
-
-    def test_odd_moment_vanishes(self):
-        c = CoeffSet(x=1.0, y=1.0, z=0.3, u=0.0, v=0.0, w=0.0)
-        assert moment_integral_closed(c, 1, 0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_frozen_dblquad_oracle(self):
-        # 2D adaptive quadrature over [-15, 15]^2, tolerance 1e-10
-        c = CoeffSet(x=2.0, y=2.0, z=0.5, u=0.3, v=-0.1, w=0.0)
-        assert moment_integral_closed(c, 2, 3) == pytest.approx(
-            0.010164382446093766, rel=1e-10
-        )
-
-    @pytest.mark.parametrize(
-        "c,N,M",
+def split_thermal(n1, n2, n_max):
+    """g = 1, mu = 0: Bose-Einstein law of mean n1 + n2, split binomially n1 : n2."""
+    nt = n1 + n2
+    return np.array(
         [
-            (CoeffSet(1.5, 2.2, 0.7, 0.4, 0.6, 0.1), 1, 2),
-            (CoeffSet(2.0, 3.0, 0.9, 1.0, -2.0, -0.3), 3, 3),
-            (CoeffSet(2.0, 2.0, 1e-6, 0.3, -0.4, 0.0), 2, 2),
-            (CoeffSet(2.0, 1.0, -0.3, -0.5, 0.8, 0.0), 0, 1),
-        ],
+            [
+                math.comb(N + M, N) * n1**N * n2**M / (1 + nt) ** (N + M + 1)
+                for M in range(n_max + 1)
+            ]
+            for N in range(n_max + 1)
+        ]
     )
-    def test_against_dblquad(self, c, N, M):
-        ref, err = dblquad_moment(c.x, c.y, c.z, c.u, c.v, c.w, N, M)
-        assert err < 1e-10 * (1 + abs(ref))
-        assert moment_integral_closed(c, N, M) == pytest.approx(ref, rel=1e-9)
-
-    def test_invalid_sets_rejected(self):
-        with pytest.raises(DomainError):
-            CoeffSet(x=-1.0, y=1.0, z=0.0, u=0.0, v=0.0, w=0.0)
-        with pytest.raises(DomainError):
-            CoeffSet(x=1.0, y=1.0, z=1.2, u=0.0, v=0.0, w=0.0)
-
-    def test_separable_ladder_cache_is_exact(self):
-        # z = 0 values from the growing ladder cache are bit-identical to a
-        # ladder built afresh to exactly the requested order
-        c = CoeffSet(x=2.3, y=1.7, z=0.0, u=0.9, v=-1.4, w=-0.2)
-        table = MomentTable(c)
-        for N, M in [(0, 0), (3, 1), (2, 17), (30, 4), (40, 40), (5, 2)]:
-            fa = moment_ladder((c.x, 0.0), (-c.u, 0.0), N)
-            fb = moment_ladder((c.y, 0.0), (-c.v, 0.0), M)
-            vh, vl = dd_mul(fa[0][N], fa[1][N], fb[0][M], fb[1][M])
-            assert table.value_dd(N, M) == dd_mul_d(vh, vl, math.exp(c.w))
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +89,27 @@ class TestRhoElement:
     def test_max_order_contract(self, generic_params):
         with pytest.raises(DomainError):
             rho_element(generic_params, FockIndex(20, 20, 20, 20), max_order=64)
+
+    def test_phase_convention(self):
+        # g = 0: <1,0|rho|0,0> = mu1/(1+n1)^2 exp(-|mu1|^2/(1+n1)) / (1+n2) under
+        # the standard expansion |alpha> = exp(-|alpha|^2/2) sum alpha^n/sqrt(n!) |n>
+        p = TwoPointParams(n1=0.01, n2=1.0, g=0.0, mu1=0.5j, mu2=0j)
+        expected = 0.5j / 1.01**2 * math.exp(-0.25 / 1.01) / 2.0
+        assert expected.imag == pytest.approx(0.1913, abs=5e-5)
+        idx = FockIndex(1, 0, 0, 0)
+        assert rho_element(p, idx) == pytest.approx(expected, rel=1e-12)
+        assert rho_element_quadrature(p, idx) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("idx", [(1, 0, 0, 0), (2, 1, 0, 3), (0, 2, 1, 1), (3, 1, 2, 0)])
+    def test_factorized_against_dblquad(self, idx):
+        # at g = 0 the element is a product of single-mode elements, each
+        # integrated over the complex plane
+        p = TwoPointParams(n1=0.6, n2=1.3, g=0.0, mu1=0.7 - 0.4j, mu2=0.3 + 0.9j)
+        N, M, K, L = idx
+        ref = dblquad_single_mode_element(p.n1, p.mu1, N, K) * dblquad_single_mode_element(
+            p.n2, p.mu2, M, L
+        )
+        assert abs(rho_element(p, FockIndex(*idx)) - ref) <= 1e-10 * abs(ref)
 
     def test_derived_against_mc(self, generic_params):
         # Poisson mixing over joint field samples as the brute-force route
@@ -293,12 +202,24 @@ class TestJointPnd:
         # Bose-Einstein distribution of the summed mean
         p = TwoPointParams(n1=0.7, n2=0.4, g=1 - 1e-6, mu1=0j, mu2=0j)
         pnd = joint_pnd(p, 10)
-        nm = pnd.n_max
-        split = joint_pnd_degenerate(
-            TwoPointParams(n1=0.7, n2=0.4, g=1.0, mu1=0j, mu2=0j), nm
-        )
+        split = split_thermal(0.7, 0.4, pnd.n_max)
         tv = 0.5 * np.abs(pnd.p - split).sum()
         assert tv < 1e-3
+
+    @pytest.mark.parametrize("n1,n2", [(0.7, 0.4), (1.1, 1.1), (0.5, 2.0)])
+    def test_g1_split_law(self, n1, n2):
+        p = TwoPointParams(n1=n1, n2=n2, g=1.0, mu1=0j, mu2=0j)
+        pnd = joint_pnd(p, 10)
+        ref = split_thermal(n1, n2, pnd.n_max)
+        assert np.max(np.abs(pnd.p - ref) / ref) < 1e-13
+
+    def test_near_coherent(self):
+        # a near-coherent beam: |mu|^2 / nbar = 1e3
+        p = TwoPointParams(n1=1e-3, n2=1e-3, g=0.5, mu1=1.0 + 0j, mu2=1.0 + 0j)
+        pnd = joint_pnd(p, 6, tail_tol=1e-12)
+        ref = single_mode_pnd(p.n1, p.mu1, pnd.n_max)
+        assert np.max(np.abs(pnd.p.sum(axis=1) - ref)) < 1e-12
+        assert np.max(np.abs(pnd.p.sum(axis=0) - ref)) < 1e-12
 
     @pytest.mark.parametrize("g", [0.0, 0.3, 0.8, 0.99])
     def test_marginal_consistency(self, g):
@@ -432,17 +353,3 @@ class TestClassicalG2:
         p = TwoPointParams(n1=0.8, n2=0.5, g=g, mu1=0.9 + 0j, mu2=0.6 + 0j)
         pnd = joint_pnd(p, 8, tail_tol=1e-10)
         assert classical_g2(pnd) == pytest.approx(classical_g2_closed(p), abs=1e-6)
-
-
-class TestVacuumIdentity:
-    def test_small_orders(self):
-        assert vacuum_identity_check(0)
-        assert vacuum_identity_check(1)
-        assert vacuum_identity_check(16)
-
-    def test_full_range(self):
-        assert vacuum_identity_check(64)
-
-    def test_bound(self):
-        with pytest.raises(DomainError):
-            vacuum_identity_check(65)
