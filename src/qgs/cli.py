@@ -57,10 +57,13 @@ def _parse_pairs(text: str):
 
 def _parse_complex_pair(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
+    try:
+        if len(parts) == 1:
+            return complex(float(parts[0]), 0.0)
+        if len(parts) == 2:
+            return complex(float(parts[0]), float(parts[1]))
+    except ValueError as exc:
+        raise ConfigError(f"bad complex value {text!r}; expected re or re,im") from exc
     raise ConfigError(f"bad complex value {text!r}; expected re or re,im")
 
 
@@ -185,10 +188,11 @@ def _cmd_validate(args) -> int:
     cfg = _load_config(args)
     perturb = None
     if args.perturb_cell:
-        parts = args.perturb_cell.split(",")
-        if len(parts) != 3:
-            raise ConfigError("--perturb-cell expects N,M,delta")
-        perturb = (int(parts[0]), int(parts[1]), int(parts[2]))
+        try:
+            n, m, delta = (int(v) for v in args.perturb_cell.split(","))
+        except ValueError as exc:
+            raise ConfigError("--perturb-cell expects N,M,delta") from exc
+        perturb = (n, m, delta)
     passed, doc = validate(cfg, n_samples=args.samples, seed=args.seed, perturb=perturb)
     report_path = args.report or "validate_report.json"
     with open(report_path, "w", encoding="utf-8") as fh:

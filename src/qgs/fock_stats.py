@@ -20,18 +20,29 @@ all three are 2x2 closed forms:
     A = [[0, CS], [CS, 0]],   CS = [[n1 + n1 n2 (1-g^2), g s], [g s, n2 + n1 n2 (1-g^2)]] / D,
     b = (S m, S conj(m)),     c = -m^H S m - ln D.
 
-No inverse of C appears, so g = 1 and nbar -> 0 are ordinary inputs.  The
-elements follow from the multidimensional-Hermite recurrence (Miatto &
+No inverse of C appears, so g = 1 and nbar -> 0 are ordinary inputs.
+
+rho_element follows the multidimensional-Hermite recurrence (Miatto &
 Quesada, Quantum 4, 366 (2020))
 
     G[k + e_i] = (b_i G[k] + sum_j A_ij sqrt(k_j) G[k - e_j]) / sqrt(k_i + 1).
 
 The alpha-alpha and conj-conj blocks of A are exactly zero, so a step in
 N reads only the slab at N: the table is streamed one (n+1)^3 slab
-G[N, :, :, :] at a time, and p(N, M) = G[N, M, N, M] is read off each
-slab.
+G[N, :, :, :] at a time.
 
-There is no cancellation bookkeeping inside the recurrence.  After the
+The joint distribution p(N, M) = G[N, M, N, M] needs only the (n+1)^2
+diagonal.  With B = A[:2, 2:], b_a = b[:2], b_c = b[2:] and
+Z = diag(z1, z2), its count generating function (Mandel's photodetection
+formula; Mandel & Wolf, Optical Coherence and Quantum Optics, ch. 14) is
+
+    sum_{N,M} G[N, M, N, M] e^-c z1^N z2^M
+        = exp(b_c^T (I - Z B)^-1 Z b_a) / det(I - Z B),
+
+and moment_ladder expands it by an explicit O(n^2) recurrence and two
+(n+1) x (n+1) matrix products, as documented there.
+
+There is no cancellation bookkeeping inside either recurrence.  After the
 fact, joint_pnd checks the normalization against the certified marginal
 tails, both marginals against the closed form single_mode_pnd, the
 positivity of every cell and the imaginary part of the diagonal, and
@@ -144,16 +155,59 @@ def _slabs(A: np.ndarray, b: np.ndarray, n: int):
         yield slab
 
 
+def _binomial_thinning(x: float, n: int) -> np.ndarray:
+    """T[N, j] = C(N, j) x^(N - j) for N, j = 0 .. n, by Pascal's rule."""
+    t = np.zeros((n + 1, n + 1))
+    t[0, 0] = 1.0
+    for N in range(n):
+        t[N + 1] = x * t[N]
+        t[N + 1, 1:] += t[N, :-1]
+    return t
+
+
 def moment_ladder(A: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
     """Diagonal G[N, M, N, M] / exp(c) for N, M = 0 .. n_max, complex.
 
-    Streams the recurrence slab by slab; A must have zero alpha-alpha
-    and conj-conj blocks, as _gaussian_form's does.  The name and the
-    position of n_max are relied on by bench/tracing.py, which wraps
-    qgs.fock_stats.moment_ladder and reads its third argument as the order.
+    A must have zero alpha-alpha and conj-conj blocks, as _gaussian_form's
+    does.  With B = A[:2, 2:], kappa = B12 B21 and u_i = z_i / (1 - B_ii z_i),
+    the count generating function of the module docstring factors as
+
+        det(I - Z B) = (1 - B11 z1) (1 - B22 z2) (1 - kappa u1 u2),
+        b_c^T (I - Z B)^-1 Z b_a = (beta1 u1 + beta2 u2 + gamma u1 u2) / (1 - kappa u1 u2),
+
+    with beta_i = b_c,i b_a,i and gamma = B12 b_c,1 b_a,2 + B21 b_c,2 b_a,1.
+    Since u^j / (1 - B z) = sum_N C(N, j) B^(N-j) z^N, the diagonal is the
+    coefficient table h of H(u1, u2) = exp(X / (1 - kappa u1 u2)) / (1 - kappa u1 u2),
+    X = beta1 u1 + beta2 u2 + gamma u1 u2, thinned binomially along both
+    axes.  From (1 - kappa u1 u2)^2 dH/du1 = H (beta1 + (gamma + kappa) u2
+    + kappa beta2 u2^2 - kappa^2 u1 u2^2), each row of h is explicit:
+
+        (j+1) h[j+1, k] = beta1 h[j, k] + (gamma + (2j+1) kappa) h[j, k-1]
+                          + kappa beta2 h[j, k-2] - j kappa^2 h[j-1, k-2],
+
+    from h[0, k] = beta2^k / k!.  The thinning sums are positive, and for a
+    beam with gamma >= 0 so is every term of the recurrence but the last;
+    at m = 0 it is a three-term recurrence along the diagonal whose second
+    solution grows only like log j.  The expansion in z1, z2 themselves,
+    with det(I - Z B) = 1 - B11 z1 - B22 z2 + det(B) z1 z2, subtracts at
+    every step instead.
+
+    The name and the position of n_max are relied on by bench/tracing.py,
+    which wraps qgs.fock_stats.moment_ladder and reads its third argument
+    as the order.
     """
-    ms = np.arange(n_max + 1)
-    return np.stack([slab[ms, N, ms] for N, slab in enumerate(_slabs(A, b, n_max))])
+    kappa = A[0, 3] * A[1, 2]
+    beta1, beta2 = b[2] * b[0], b[3] * b[1]
+    gamma = A[0, 3] * b[2] * b[1] + A[1, 2] * b[3] * b[0]
+    h = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    h[0] = np.cumprod(np.concatenate([[1.0 + 0j], beta2 / np.arange(1, n_max + 1)]))
+    for j in range(n_max):
+        row = beta1 * h[j]
+        row[1:] += (gamma + (2 * j + 1) * kappa) * h[j, :-1]
+        # at j = 0 the last term vanishes with its factor j
+        row[2:] += kappa * beta2 * h[j, :-2] - j * kappa * kappa * h[j - 1, :-2]
+        h[j + 1] = row / (j + 1)
+    return _binomial_thinning(A[0, 2], n_max) @ h @ _binomial_thinning(A[1, 3], n_max).T
 
 
 def rho_element(

@@ -16,7 +16,6 @@ identical for any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +156,9 @@ def empirical_pnd(cfg: SamplerConfig) -> EmpiricalPND:
     """
     tasks = [(cfg.params, cfg.seed, b, c) for b, c in _block_plan(cfg.n_samples)]
     if cfg.n_workers > 1 and len(tasks) > 1:
+        # imported here: one-worker runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
             blocks = list(pool.map(_count_block, tasks, chunksize=4))
     else:

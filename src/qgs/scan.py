@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,6 +156,9 @@ def run_scan(cfg: ScanConfig, n_workers: int | None = None):
     seps = separations(cfg)
     tasks = [(cfg, float(s)) for s in seps]
     if n_workers > 1 and len(tasks) > 1:
+        # imported here: one-worker runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             per_position = list(pool.map(_scan_task, tasks, chunksize=1))
     else:

@@ -29,6 +29,20 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
     assert main(["scan", "--steps", "3", "--tail-tol", "1e-20", "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit-g2", "--target", "1.5", "--mu-peak", "x"],
+        ["validate", "--samples", "1000", "--perturb-cell", "a,b,c"],
+    ],
+    ids=["mu-peak", "perturb-cell"],
+)
+def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_perturbed_validation_fails(tmp_path):
     report = tmp_path / "report.json"
     argv = ["validate", "--samples", "200000", "--perturb-cell", "3,3,20000"]
@@ -36,12 +50,21 @@ def test_perturbed_validation_fails(tmp_path):
     assert report.exists()
 
 
-def test_import_loads_no_scipy():
+def run_fresh(code):
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-c", "import qgs, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         check=True,
         timeout=120,
     )
+
+
+def test_import_loads_no_scipy():
+    run_fresh("import qgs, sys; assert 'scipy' not in sys.modules")
+
+
+def test_cli_import_loads_no_process_pool():
+    # a pool's modules load only on the multi-worker branch that uses them
+    run_fresh("import qgs.cli, sys; assert 'concurrent.futures.process' not in sys.modules")

@@ -1,6 +1,7 @@
 """Fock statistics: frozen oracles, limits, and cross-route agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,18 +12,23 @@ from qgs.errors import (
     InsufficientCountsError,
 )
 from qgs.fock_stats import (
+    DEFAULT_TAIL_TOL,
     FockIndex,
+    _gaussian_form,
     _marginal_tail_order,
+    _slabs,
     classical_g2,
     classical_g2_closed,
     joint_pnd,
+    moment_ladder,
     rho_element,
     rho_element_quadrature,
     single_mode_pnd,
     wavepacket_g2,
 )
 from qgs.mc_oracle import SamplerConfig, empirical_pnd
-from qgs.source_model import TwoPointParams
+from qgs.scan import default_profile
+from qgs.source_model import TwoPointParams, two_point_params
 
 from oracles import dblquad_single_mode_element
 
@@ -39,6 +45,19 @@ def split_thermal(n1, n2, n_max):
             for N in range(n_max + 1)
         ]
     )
+
+
+def slab_diagonal(A, b, n):
+    """G[N, M, N, M] / exp(c) read off the Hermite slab stream behind rho_element."""
+    ms = np.arange(n + 1)
+    return np.stack([slab[ms, N, ms] for N, slab in enumerate(_slabs(A, b, n))])
+
+
+def scan_position(n_peak, separation):
+    profile = default_profile()
+    if n_peak is not None:
+        profile = replace(profile, n_peak=n_peak)
+    return two_point_params(profile, 0.0, separation)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +162,41 @@ class TestRhoElementQuadrature:
     def test_order_bound(self, generic_params):
         with pytest.raises(DomainError):
             rho_element_quadrature(generic_params, FockIndex(8, 8, 8, 8))
+
+
+class TestMomentLadder:
+    """The count-generating-function diagonal against the Hermite recurrence."""
+
+    @staticmethod
+    def assert_matches_slabs(p, n):
+        A, b, c = _gaussian_form(p)
+        q = moment_ladder(A, b, n)
+        ref = slab_diagonal(A, b, n)
+        live = math.exp(c) * ref.real > 1e-300
+        assert q.shape == (n + 1, n + 1)
+        assert np.max(np.abs(q - ref)[live] / np.abs(ref)[live]) <= 1e-10
+
+    @pytest.mark.parametrize("separation", [0.5 * k for k in range(9)])
+    @pytest.mark.parametrize("n_peak", [None, 1.5])
+    def test_scan_profiles(self, n_peak, separation):
+        p = scan_position(n_peak, separation)
+        self.assert_matches_slabs(p, _marginal_tail_order(p, 16, DEFAULT_TAIL_TOL, 40))
+
+    def test_beyond_hard_cap(self):
+        self.assert_matches_slabs(scan_position(2.0, 1.0), 47)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            TwoPointParams(n1=0.8, n2=1.3, g=0.0, mu1=0.7 + 0j, mu2=0.4 + 0j),
+            TwoPointParams(n1=1.0, n2=2.0, g=1.0, mu1=0.5 + 0j, mu2=0.5 * math.sqrt(2) + 0j),
+            TwoPointParams(n1=1e-3, n2=1e-3, g=0.5, mu1=1.0 + 0j, mu2=1.0 + 0j),
+            TwoPointParams(n1=1.0, n2=0.7, g=0.6, mu1=0.3 + 0.8j, mu2=-0.6 + 0.2j),
+        ],
+        ids=["g0", "g1", "near-coherent", "complex-mu"],
+    )
+    def test_limits(self, p):
+        self.assert_matches_slabs(p, 30)
 
 
 class TestSingleModePnd:
