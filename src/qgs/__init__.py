@@ -40,10 +40,7 @@ from .scan import (
 from .source_model import (
     BeamProfile,
     TwoPointParams,
-    cross_spectral_density,
     degree_of_coherence,
-    gaussian_pdf,
-    joint_pdf,
     mean_cov,
     profile_at,
     two_point_params,
@@ -66,7 +63,6 @@ __all__ = [
     "classical_g2_closed",
     "config_from_dict",
     "config_to_dict",
-    "cross_spectral_density",
     "default_config",
     "default_workers",
     "degree_of_coherence",
@@ -74,8 +70,6 @@ __all__ = [
     "empirical_g2",
     "empirical_pnd",
     "fit_g2_zero",
-    "gaussian_pdf",
-    "joint_pdf",
     "joint_pnd",
     "mean_cov",
     "profile_at",

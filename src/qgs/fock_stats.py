@@ -42,11 +42,17 @@ formula; Mandel & Wolf, Optical Coherence and Quantum Optics, ch. 14) is
 and moment_ladder expands it by an explicit O(n^2) recurrence and two
 (n+1) x (n+1) matrix products, as documented there.
 
+The single-detector marginals are displaced-thermal for every g.
+joint_pnd evaluates their closed form single_mode_pnd once per mode, up
+to the hard cap, and every consumer reads a prefix of those two arrays:
+the truncation search sums them, the checks compare against them, and
+JointPND carries them for wavepacket_g2.
+
 There is no cancellation bookkeeping inside either recurrence.  After the
 fact, joint_pnd checks the normalization against the certified marginal
-tails, both marginals against the closed form single_mode_pnd, the
-positivity of every cell and the imaginary part of the diagonal, and
-raises PrecisionLossError when one fails.
+tails, both marginals against the closed form, the positivity of every
+cell and the imaginary part of the diagonal, and raises
+PrecisionLossError when one fails.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from .errors import (
     PrecisionLossError,
     TruncationError,
 )
-from .source_model import TwoPointParams, mu_tilde
+from .source_model import TwoPointParams, mean_cov, mu_tilde
 
 DEFAULT_MAX_ORDER = 64
 DEFAULT_TAIL_TOL = 1e-6
@@ -99,12 +105,16 @@ class JointPND:
 
     p is a (n_max+1) x (n_max+1) matrix of diagonal matrix elements;
     tail_mass certifies the probability weight beyond the truncation.
+    marginals holds the closed-form single-detector distributions
+    single_mode_pnd of both modes for N = 0 .. n_max, the arrays the
+    truncation search and the checks of joint_pnd read.
     """
 
     n_max: int
     p: np.ndarray
     tail_mass: float
     params: TwoPointParams
+    marginals: tuple[np.ndarray, np.ndarray]
 
 
 def _gaussian_form(p: TwoPointParams):
@@ -246,17 +256,10 @@ def rho_element_quadrature(
     if nodes is None:
         nodes = max(10, (idx.order + 2) // 2 + 4)
 
+    mc = mean_cov(p)
+    mu, gamma = mc.mu, mc.gamma
+
     def evaluate(nq: int) -> complex:
-        gb = p.g * math.sqrt(p.n1 * p.n2)
-        gamma = 0.5 * np.array(
-            [
-                [p.n1, 0.0, gb, 0.0],
-                [0.0, p.n1, 0.0, gb],
-                [gb, 0.0, p.n2, 0.0],
-                [0.0, gb, 0.0, p.n2],
-            ]
-        )
-        mu = np.array([p.mu1.real, p.mu1.imag, p.mu2.real, p.mu2.imag])
         gi = np.linalg.inv(gamma)
         a_mat = gi + 2.0 * np.eye(4)
         m = np.linalg.solve(a_mat, gi @ mu)
@@ -329,19 +332,22 @@ def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:
 
 
 def _marginal_tail_order(
-    p: TwoPointParams, n_start: int, tail_tol: float, hard_cap: int
+    marginals: tuple[np.ndarray, np.ndarray], n_start: int, tail_tol: float
 ) -> int:
     """Smallest n_max with certified joint tail below tail_tol.
 
     P(N > n or M > n) is bounded by the sum of the two marginal tails,
-    and the marginals are displaced-thermal regardless of g.  Candidates
-    grow geometrically from n_start; the last step is clamped so that
-    hard_cap itself is always tried before TruncationError is raised.
+    read off the closed-form marginals, whose length sets the hard cap.
+    Candidates grow geometrically from n_start; the last step is clamped
+    so that the cap itself is always tried before TruncationError is
+    raised.
     """
+    m1, m2 = marginals
+    hard_cap = m1.size - 1
     n = max(n_start, 1)
     while n <= hard_cap:
-        t1 = 1.0 - float(np.sum(single_mode_pnd(p.n1, p.mu1, n)))
-        t2 = 1.0 - float(np.sum(single_mode_pnd(p.n2, p.mu2, n)))
+        t1 = 1.0 - float(np.sum(m1[: n + 1]))
+        t2 = 1.0 - float(np.sum(m2[: n + 1]))
         if t1 + t2 < 0.5 * tail_tol:
             return n
         if n == hard_cap:
@@ -352,16 +358,17 @@ def _marginal_tail_order(
     )
 
 
-def _certify(p: TwoPointParams, q: np.ndarray) -> np.ndarray:
+def _certify(marginals: tuple[np.ndarray, np.ndarray], q: np.ndarray) -> np.ndarray:
     """The after-the-fact checks on the diagonal q = G[N, M, N, M]; returns p(N, M).
 
-    With t1, t2 the marginal tails beyond the truncation, the joint tail
-    lies in [max(t1, t2), t1 + t2] and each truncated row (column) sum
-    falls short of the closed-form marginal by at most t2 (t1).
+    marginals are the closed-form single_mode_pnd of both modes, one
+    entry per row (column) of q.  With t1, t2 the marginal tails beyond
+    the truncation, the joint tail lies in [max(t1, t2), t1 + t2] and each
+    truncated row (column) sum falls short of the closed-form marginal by
+    at most t2 (t1).
     """
     n = q.shape[0] - 1
-    m1 = single_mode_pnd(p.n1, p.mu1, n)
-    m2 = single_mode_pnd(p.n2, p.mu2, n)
+    m1, m2 = marginals
     t1 = 1.0 - float(m1.sum())
     t2 = 1.0 - float(m2.sum())
     mat = q.real
@@ -408,15 +415,18 @@ def joint_pnd(
             raise DegeneracyError(
                 "g = 1 limit requires matching rescaled amplitudes at both detectors"
             )
-    n_eff = _marginal_tail_order(p, n_max, tail_tol, max(hard_cap, n_max))
+    cap = max(hard_cap, n_max)
+    full = (single_mode_pnd(p.n1, p.mu1, cap), single_mode_pnd(p.n2, p.mu2, cap))
+    n_eff = _marginal_tail_order(full, n_max, tail_tol)
+    marginals = (full[0][: n_eff + 1], full[1][: n_eff + 1])
     A, b, c = _gaussian_form(p)
-    mat = _certify(p, math.exp(c) * moment_ladder(A, b, n_eff))
+    mat = _certify(marginals, math.exp(c) * moment_ladder(A, b, n_eff))
     tail = 1.0 - float(mat.sum())
     if tail >= tail_tol:
         raise TruncationError(
             f"tail mass {tail:.3e} above tolerance {tail_tol} at n_max = {n_eff}"
         )
-    return JointPND(n_max=n_eff, p=mat, tail_mass=tail, params=p)
+    return JointPND(n_max=n_eff, p=mat, tail_mass=tail, params=p, marginals=marginals)
 
 
 def wavepacket_g2(
@@ -426,14 +436,15 @@ def wavepacket_g2(
 
     p(N, M) normalized by the product of the marginal wavepacket
     probabilities p(N) and p(M).  The marginals are displaced-thermal for
-    every g (g = 1 included), so they come from the closed form
-    single_mode_pnd rather than from row and column sums of the truncated
-    matrix, which fall short of the true marginals by the tail mass.
+    every g (g = 1 included), so they are read from pnd.marginals, the
+    closed form single_mode_pnd that joint_pnd evaluated, rather than from
+    row and column sums of the truncated matrix, which fall short of the
+    true marginals by the tail mass.
     """
     if N > pnd.n_max or M > pnd.n_max or N < 0 or M < 0:
         raise DomainError(f"pair ({N}, {M}) outside truncation n_max = {pnd.n_max}")
-    row = float(single_mode_pnd(pnd.params.n1, pnd.params.mu1, N)[N])
-    col = float(single_mode_pnd(pnd.params.n2, pnd.params.mu2, M)[M])
+    row = float(pnd.marginals[0][N])
+    col = float(pnd.marginals[1][M])
     if row < marginal_floor or col < marginal_floor:
         raise InsufficientCountsError(
             f"marginal probability below floor {marginal_floor:g} for pair ({N}, {M})"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DomainError
 
 # g values above 1 - DEGENERACY_TOL are treated as the exact g = 1 limit,
 # where the covariance is singular and no density exists.
@@ -95,11 +95,6 @@ def two_point_params(profile: BeamProfile, s1: float, s2: float) -> TwoPointPara
     return TwoPointParams(n1=n1, n2=n2, g=degree_of_coherence(profile, s1, s2), mu1=mu1, mu2=mu2)
 
 
-def cross_spectral_density(p: TwoPointParams) -> complex:
-    """Two-point field correlation <E*(s1) E(s2)> = mu1* mu2 + g sqrt(n1 n2)."""
-    return p.mu1.conjugate() * p.mu2 + p.g * math.sqrt(p.n1 * p.n2)
-
-
 def mean_cov(p: TwoPointParams) -> MeanCov:
     """Mean vector and covariance matrix of the real field components.
 
@@ -117,48 +112,6 @@ def mean_cov(p: TwoPointParams) -> MeanCov:
     )
     mu = np.array([p.mu1.real, p.mu1.imag, p.mu2.real, p.mu2.imag])
     return MeanCov(mu=mu, gamma=gamma, degenerate=p.is_degenerate)
-
-
-def gaussian_pdf(mc: MeanCov, r: np.ndarray) -> float:
-    """Density of a real Gaussian 4-vector via Cholesky factorization.
-
-    No explicit inverse is formed; raises DegeneracyError when the
-    covariance is numerically singular.
-    """
-    r = np.asarray(r, dtype=float)
-    try:
-        chol = np.linalg.cholesky(mc.gamma)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneracyError("covariance matrix is not positive definite") from exc
-    diag = np.diag(chol)
-    det = float(np.prod(diag)) ** 2
-    if det <= 1e-300:
-        raise DegeneracyError("covariance determinant below tolerance")
-    y = np.linalg.solve(chol, r - mc.mu)
-    quad = float(y @ y)
-    return math.exp(-0.5 * quad) / (4.0 * math.pi**2 * math.sqrt(det))
-
-
-def joint_pdf(p: TwoPointParams, alpha: complex, beta: complex) -> float:
-    """Joint density of the coherent amplitudes at the two detectors.
-
-    Direct evaluation of the exponential form (cross term 2g Re[...]);
-    agrees pointwise with gaussian_pdf over mean_cov.
-    """
-    if p.is_degenerate:
-        raise DegeneracyError(
-            "joint density does not exist at g = 1 (degenerate covariance)"
-        )
-    one_m_g2 = (1.0 - p.g) * (1.0 + p.g)
-    da = alpha - p.mu1
-    db = beta - p.mu2
-    expo = (
-        -abs(da) ** 2 / (p.n1 * one_m_g2)
-        - abs(db) ** 2 / (p.n2 * one_m_g2)
-        + 2.0 * p.g * (da.conjugate() * db).real / (math.sqrt(p.n1 * p.n2) * one_m_g2)
-    )
-    norm = math.pi**2 * p.n1 * p.n2 * one_m_g2
-    return math.exp(expo) / norm
 
 
 def mu_tilde(p: TwoPointParams):

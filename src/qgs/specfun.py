@@ -1,4 +1,4 @@
-"""Double-double special functions: Gaussian moments, Kummer 1F1, binomials.
+"""Double-double special functions: Gaussian moments and Kummer 1F1.
 
 The workhorse is the one-dimensional Gaussian moment
 
@@ -64,24 +64,6 @@ class MomentParams:
             raise DomainError(f"quadratic coefficient must be positive, got a={self.a}")
         if self.n < 0:
             raise DomainError(f"moment order must be nonnegative, got n={self.n}")
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not (x > 0):
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n <= 128."""
-    if n < 0 or k < 0:
-        raise DomainError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        raise DomainError(f"binomial requires k <= n, got ({n}, {k})")
-    if n > 128:
-        raise OverflowError(f"binomial supports n <= 128, got n={n}")
-    return math.comb(n, k)
 
 
 @lru_cache(maxsize=8)

@@ -1,9 +1,8 @@
 """Independent brute-force oracles used to freeze and check expected values.
 
 Nothing here shares code with the package paths under test: the series
-oracle sums Kummer terms directly in 50-digit arithmetic, the moment and
-element oracles integrate numerically, and the density oracle uses an
-explicit matrix inverse.
+oracle sums Kummer terms directly in 50-digit arithmetic, and the moment
+and element oracles integrate numerically.
 """
 
 import math
@@ -41,14 +40,6 @@ def quad_gaussian_moment(a, b, n, half_width=None, epsabs=1e-14):
     return val, err
 
 
-def pascal_binomial(n, k):
-    """Pascal-triangle big-integer recursion."""
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
 def dblquad_single_mode_element(nbar, mu, N, K):
     """<N|rho|K> of one coherent + thermal mode by 2D adaptive quadrature.
 
@@ -79,13 +70,3 @@ def dblquad_single_mode_element(nbar, mu, N, K):
         return val
 
     return norm * complex(part(lambda v: v.real), part(lambda v: v.imag))
-
-
-def gaussian_pdf_inverse(mu, gamma, r):
-    """Multivariate normal density via explicit inverse and determinant."""
-    gamma = np.asarray(gamma, dtype=float)
-    d = np.asarray(r, dtype=float) - np.asarray(mu, dtype=float)
-    inv = np.linalg.inv(gamma)
-    det = np.linalg.det(gamma)
-    k = gamma.shape[0]
-    return float(np.exp(-0.5 * d @ inv @ d) / ((2 * np.pi) ** (k / 2) * np.sqrt(det)))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qgs.fock_stats as fock_stats
 from qgs.errors import (
     DegeneracyError,
     DomainError,
@@ -51,6 +52,11 @@ def slab_diagonal(A, b, n):
     """G[N, M, N, M] / exp(c) read off the Hermite slab stream behind rho_element."""
     ms = np.arange(n + 1)
     return np.stack([slab[ms, N, ms] for N, slab in enumerate(_slabs(A, b, n))])
+
+
+def marginals_to(p, n):
+    """Both closed-form marginals up to n, the arrays joint_pnd's tail search reads."""
+    return single_mode_pnd(p.n1, p.mu1, n), single_mode_pnd(p.n2, p.mu2, n)
 
 
 def scan_position(n_peak, separation):
@@ -180,7 +186,8 @@ class TestMomentLadder:
     @pytest.mark.parametrize("n_peak", [None, 1.5])
     def test_scan_profiles(self, n_peak, separation):
         p = scan_position(n_peak, separation)
-        self.assert_matches_slabs(p, _marginal_tail_order(p, 16, DEFAULT_TAIL_TOL, 40))
+        n = _marginal_tail_order(marginals_to(p, 40), 16, DEFAULT_TAIL_TOL)
+        self.assert_matches_slabs(p, n)
 
     def test_beyond_hard_cap(self):
         self.assert_matches_slabs(scan_position(2.0, 1.0), 47)
@@ -309,7 +316,24 @@ class TestJointPnd:
         # geometric steps from 6 pass 33 and overshoot to 41; the tail falls
         # below 0.5e-9 only at 40, so the cap itself must be a candidate
         p = TwoPointParams(n1=0.9, n2=0.6, g=0.3, mu1=0.8 + 0j, mu2=0.5 + 0j)
-        assert _marginal_tail_order(p, 6, 1e-9, 40) == 40
+        assert _marginal_tail_order(marginals_to(p, 40), 6, 1e-9) == 40
+
+    @pytest.mark.parametrize("separation", [2.0, 0.0], ids=["default", "g1"])
+    def test_single_marginal_pass(self, monkeypatch, separation):
+        # one closed-form pass per mode, up to the cap, feeds the tail
+        # search, the checks and the marginals carried on JointPND
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return single_mode_pnd(*args)
+
+        monkeypatch.setattr(fock_stats, "single_mode_pnd", counted)
+        p = scan_position(None, separation)
+        pnd = joint_pnd(p, 16)
+        assert len(calls) == 2
+        for got, want in zip(pnd.marginals, marginals_to(p, pnd.n_max)):
+            assert np.array_equal(got, want)
 
     def test_degeneracy_checked_before_truncation(self):
         # the cap is far too small for this beam, yet the inconsistent g = 1

@@ -5,20 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from qgs.errors import DegeneracyError, DomainError
+from qgs.errors import DomainError
 from qgs.source_model import (
     BeamProfile,
     TwoPointParams,
-    cross_spectral_density,
     degree_of_coherence,
-    gaussian_pdf,
-    joint_pdf,
     mean_cov,
     profile_at,
     two_point_params,
 )
-
-from oracles import gaussian_pdf_inverse
 
 
 @pytest.fixture
@@ -92,20 +87,6 @@ class TestTwoPointParams:
             TwoPointParams(n1=-1.0, n2=1.0, g=0.5, mu1=0j, mu2=0j)
 
 
-class TestCrossSpectralDensity:
-    def test_incoherent_distant(self):
-        p = TwoPointParams(n1=1.0, n2=1.0, g=0.0, mu1=0j, mu2=0j)
-        assert cross_spectral_density(p) == 0j
-
-    def test_coincident_mean_intensity(self):
-        p = TwoPointParams(n1=1.5, n2=1.5, g=1.0, mu1=0.5 + 0.5j, mu2=0.5 + 0.5j)
-        assert cross_spectral_density(p) == pytest.approx(abs(0.5 + 0.5j) ** 2 + 1.5)
-
-    def test_direct_substitution(self):
-        p = TwoPointParams(n1=1.0, n2=4.0, g=0.5, mu1=1.0 + 0j, mu2=2.0j)
-        assert cross_spectral_density(p) == pytest.approx(1.0 + 2.0j)
-
-
 class TestMeanCov:
     def test_uncorrelated_identity(self):
         p = TwoPointParams(n1=1.0, n2=1.0, g=0.0, mu1=0j, mu2=0j)
@@ -140,116 +121,3 @@ class TestMeanCov:
         p = TwoPointParams(n1=1.7, n2=0.4, g=0.6, mu1=1j, mu2=2.0 + 0j)
         mc = mean_cov(p)
         assert np.array_equal(mc.gamma, mc.gamma.T)
-
-
-class TestGaussianPdf:
-    def test_isotropic_value(self):
-        p = TwoPointParams(n1=1.0, n2=1.0, g=0.0, mu1=0j, mu2=0j)
-        mc = mean_cov(p)
-        # det = (1/2)^4, so 1/(4 pi^2 sqrt(det)) = 1/pi^2
-        assert gaussian_pdf(mc, np.zeros(4)) == pytest.approx(1.0 / math.pi**2, rel=1e-13)
-
-    def test_peak_value(self):
-        p = TwoPointParams(n1=0.8, n2=1.3, g=0.4, mu1=0.5 + 0.2j, mu2=-0.1 + 0.7j)
-        mc = mean_cov(p)
-        det = np.linalg.det(mc.gamma)
-        assert gaussian_pdf(mc, mc.mu) == pytest.approx(
-            1.0 / (4 * math.pi**2 * math.sqrt(det)), rel=1e-12
-        )
-
-    def test_against_explicit_inverse(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            a = rng.standard_normal((4, 4))
-            gamma = a @ a.T + 0.5 * np.eye(4)
-            mu = rng.standard_normal(4)
-            r = rng.standard_normal(4)
-            mc_like = mean_cov(TwoPointParams(1.0, 1.0, 0.0, 0j, 0j))
-            mc = type(mc_like)(mu=mu, gamma=gamma)
-            assert gaussian_pdf(mc, r) == pytest.approx(
-                gaussian_pdf_inverse(mu, gamma, r), rel=1e-12
-            )
-
-    def test_singular_error(self):
-        mc_like = mean_cov(TwoPointParams(1.0, 1.0, 0.0, 0j, 0j))
-        singular = type(mc_like)(mu=np.zeros(4), gamma=np.zeros((4, 4)))
-        with pytest.raises(DegeneracyError):
-            gaussian_pdf(singular, np.zeros(4))
-
-
-class TestJointPdf:
-    def test_factorizes_at_g_zero(self):
-        p = TwoPointParams(n1=0.7, n2=1.9, g=0.0, mu1=0.4 - 0.3j, mu2=1.1 + 0.2j)
-        for alpha, beta in [(0.1 + 0.2j, -0.3 + 0.5j), (1.0 + 0j, 0.7j)]:
-            left = joint_pdf(p, alpha, beta)
-            f1 = math.exp(-abs(alpha - p.mu1) ** 2 / p.n1) / (math.pi * p.n1)
-            f2 = math.exp(-abs(beta - p.mu2) ** 2 / p.n2) / (math.pi * p.n2)
-            assert left == pytest.approx(f1 * f2, rel=1e-13)
-
-    def test_peak_at_means(self):
-        p = TwoPointParams(n1=1.0, n2=0.5, g=0.6, mu1=0.3 + 0.4j, mu2=-0.2 + 0.1j)
-        peak = joint_pdf(p, p.mu1, p.mu2)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            da, db = rng.standard_normal(4)[:2], rng.standard_normal(4)[2:]
-            val = joint_pdf(p, p.mu1 + complex(*da) * 0.3, p.mu2 + complex(*db) * 0.3)
-            assert val <= peak
-
-    def test_frozen_inverse_path(self):
-        # evaluated through the explicit 4x4 inversion of the covariance
-        p = TwoPointParams(n1=1.0, n2=1.0, g=0.5, mu1=0j, mu2=0j)
-        assert joint_pdf(p, 0j, 0j) == pytest.approx(0.13509491152311703, rel=1e-12)
-        mc = mean_cov(p)
-        ref = gaussian_pdf_inverse(mc.mu, mc.gamma, np.zeros(4))
-        assert joint_pdf(p, 0j, 0j) == pytest.approx(ref, rel=1e-12)
-
-    @pytest.mark.parametrize("g", [0.0, 0.3, 0.9])
-    def test_consistency_with_gaussian_pdf(self, g):
-        p = TwoPointParams(n1=0.9, n2=1.4, g=g, mu1=0.2 + 0.5j, mu2=-0.6 + 0.1j)
-        mc = mean_cov(p)
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            pt = rng.standard_normal(4)
-            alpha = complex(pt[0], pt[1])
-            beta = complex(pt[2], pt[3])
-            assert joint_pdf(p, alpha, beta) == pytest.approx(
-                gaussian_pdf(mc, pt), rel=1e-12
-            )
-
-    def test_degeneracy_error(self):
-        p = TwoPointParams(n1=1.0, n2=1.0, g=1.0, mu1=0j, mu2=0j)
-        with pytest.raises(DegeneracyError):
-            joint_pdf(p, 0j, 0j)
-
-
-class TestNormalizationAndMoments:
-    def test_normalization_and_cross_moment(self):
-        """Grid integration over +-8 standard deviations in all four coordinates.
-
-        Checks both the unit mass of the density and the recovery of the
-        cross-spectral density as the <alpha* beta> moment.
-        """
-        p = TwoPointParams(n1=0.8, n2=1.2, g=0.45, mu1=0.3 + 0.2j, mu2=-0.4 + 0.5j)
-        sd1 = math.sqrt(p.n1 / 2)
-        sd2 = math.sqrt(p.n2 / 2)
-        n = 25
-        a1 = np.linspace(p.mu1.real - 8 * sd1, p.mu1.real + 8 * sd1, n)
-        a2 = np.linspace(p.mu1.imag - 8 * sd1, p.mu1.imag + 8 * sd1, n)
-        b1 = np.linspace(p.mu2.real - 8 * sd2, p.mu2.real + 8 * sd2, n)
-        b2 = np.linspace(p.mu2.imag - 8 * sd2, p.mu2.imag + 8 * sd2, n)
-        h = (a1[1] - a1[0]) * (a2[1] - a2[0]) * (b1[1] - b1[0]) * (b2[1] - b2[0])
-        mass = 0.0
-        moment = 0.0 + 0.0j
-        for x1 in a1:
-            for x2 in a2:
-                alpha = complex(x1, x2)
-                for x3 in b1:
-                    for x4 in b2:
-                        beta = complex(x3, x4)
-                        val = joint_pdf(p, alpha, beta)
-                        mass += val
-                        moment += val * alpha.conjugate() * beta
-        mass *= h
-        moment *= h
-        assert mass == pytest.approx(1.0, abs=1e-6)
-        assert abs(moment - cross_spectral_density(p)) < 1e-6

@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,35 +10,12 @@ from hypothesis import strategies as st
 from qgs.errors import DomainError
 from qgs.specfun import (
     MomentParams,
-    binomial,
     gaussian_moment,
     hyp1f1,
-    ln_gamma,
     quadrature_moment,
 )
 
-from oracles import pascal_binomial, quad_gaussian_moment, series_hyp1f1
-
-
-class TestLnGamma:
-    def test_trivials(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert ln_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-14)
-
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 7.0, 33.5, 100.0, 200.0])
-    def test_precision_grid(self, x):
-        ref = float(mp.log(mp.gamma(x)))
-        if ref == 0.0:
-            assert abs(ln_gamma(x)) <= 1e-14
-        else:
-            assert abs(ln_gamma(x) - ref) <= 1e-14 * abs(ref)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
-        with pytest.raises(DomainError):
-            ln_gamma(-3.0)
+from oracles import quad_gaussian_moment, series_hyp1f1
 
 
 class TestHyp1f1:
@@ -156,26 +132,3 @@ class TestQuadratureMoment:
     def test_domain(self):
         with pytest.raises(DomainError):
             quadrature_moment(MomentParams(-2.0, 0.0, 2))
-
-
-class TestBinomial:
-    def test_trivials(self):
-        assert binomial(5, 0) == 1
-        assert binomial(16, 8) == 12870
-
-    def test_frozen_pascal_oracle(self):
-        assert binomial(64, 32) == pascal_binomial(64, 32)
-        assert binomial(64, 32) == 1832624140942590534
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 30])
-    def test_pascal_rows(self, n):
-        for k in range(n + 1):
-            assert binomial(n, k) == pascal_binomial(n, k)
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            binomial(3, 4)
-        with pytest.raises(DomainError):
-            binomial(-1, 0)
-        with pytest.raises(OverflowError):
-            binomial(129, 4)
