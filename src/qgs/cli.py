@@ -7,8 +7,9 @@ Subcommands:
   pnd       dump the joint photon-number distribution at one separation
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical-certification failure.  QGS_WORKERS overrides the worker
-count.
+3 numerical-certification failure.  The worker count is --workers if
+given, else a configuration file's mc.n_workers if it is not 1, else
+the QGS_WORKERS environment variable (default 1).
 """
 
 from __future__ import annotations

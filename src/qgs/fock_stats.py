@@ -43,8 +43,10 @@ and moment_ladder expands it by an explicit O(n^2) recurrence and two
 (n+1) x (n+1) matrix products, as documented there.
 
 The single-detector marginals are displaced-thermal for every g.
-joint_pnd evaluates their closed form single_mode_pnd once per mode, up
-to the hard cap, and every consumer reads a prefix of those two arrays:
+single_mode_pnd evaluates their Laguerre closed form by one three-term
+recurrence on the probabilities themselves, the same for thermal,
+coherent and mixed modes.  joint_pnd calls it once per mode, up to
+HARD_CAP, and every consumer reads a prefix of those two arrays:
 the truncation search sums them, the checks compare against them, and
 JointPND carries them for wavepacket_g2.
 
@@ -76,6 +78,8 @@ from .source_model import TwoPointParams, mean_cov, mu_tilde
 DEFAULT_MAX_ORDER = 64
 DEFAULT_TAIL_TOL = 1e-6
 DEFAULT_MARGINAL_FLOOR = 1e-12
+# joint_pnd's tail search tries truncations up to max(HARD_CAP, n_max)
+HARD_CAP = 40
 # absolute slack of the after-the-fact checks on p(N, M); roundoff in the
 # recurrence and in the closed-form marginals is ~1e-16 per cell
 _CHECK_TOL = 1e-12
@@ -303,58 +307,55 @@ def rho_element_quadrature(
 def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:
     """Photon-number distribution of one coherent + thermal mode.
 
-    Laguerre closed form; reduces to Bose-Einstein at mu = 0 and to
-    Poisson at nbar = 0.  Serves as the independent marginal oracle.
+    The Laguerre closed form p(n) = r^n L_n(-y / r) e^(-|mu|^2 / (1 + nbar))
+    / (1 + nbar), with r = nbar / (1 + nbar) and y = |mu|^2 / (1 + nbar)^2,
+    is evaluated by the three-term Laguerre recurrence applied to p itself:
+
+        (n + 1) p(n + 1) = ((2n + 1) r + y) p(n) - n r^2 p(n - 1).
+
+    Neither coefficient blows up as nbar -> 0, so Bose-Einstein (mu = 0),
+    Poisson (nbar = 0) and every beam between take the same path, and no
+    factor overflows while another underflows.  Serves as the independent
+    marginal oracle.
     """
     if nbar < 0:
         raise DomainError(f"nbar must be nonnegative, got {nbar}")
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     m2 = abs(mu) ** 2
-    ns = np.arange(n_max + 1)
-    if nbar == 0.0:
-        if m2 == 0.0:
-            out = np.zeros(n_max + 1)
-            out[0] = 1.0
-            return out
-        logp = -m2 + ns * math.log(m2) - np.array([math.lgamma(n + 1) for n in ns])
-        return np.exp(logp)
-    # L_n(-xl) by upward recurrence; every term positive for xl >= 0
-    xl = m2 / (nbar * (1.0 + nbar))
-    lag = np.zeros(n_max + 1)
-    lag[0] = 1.0
-    if n_max >= 1:
-        lag[1] = 1.0 + xl
-    for n in range(1, n_max):
-        lag[n + 1] = ((2 * n + 1 + xl) * lag[n] - n * lag[n - 1]) / (n + 1)
-    ratio = nbar / (1.0 + nbar)
-    return ratio**ns / (1.0 + nbar) * math.exp(-m2 / (1.0 + nbar)) * lag
+    r = nbar / (1.0 + nbar)
+    y = m2 / (1.0 + nbar) ** 2
+    q = [0.0, math.exp(-m2 / (1.0 + nbar)) / (1.0 + nbar)]
+    for n in range(n_max):
+        q.append((((2 * n + 1) * r + y) * q[-1] - n * r * r * q[-2]) / (n + 1))
+    return np.array(q[1:])
 
 
 def _marginal_tail_order(
     marginals: tuple[np.ndarray, np.ndarray], n_start: int, tail_tol: float
 ) -> int:
-    """Smallest n_max with certified joint tail below tail_tol.
+    """First candidate n_max whose certified joint tail is below tail_tol.
 
     P(N > n or M > n) is bounded by the sum of the two marginal tails,
     read off the closed-form marginals, whose length sets the hard cap.
-    Candidates grow geometrically from n_start; the last step is clamped
-    so that the cap itself is always tried before TruncationError is
-    raised.
+    Candidates grow geometrically from n_start by max(2, n // 4), so the
+    returned n can exceed the smallest passing truncation by up to one
+    step.  The last step is clamped so that the cap itself is always
+    tried before TruncationError is raised.
     """
     m1, m2 = marginals
-    hard_cap = m1.size - 1
+    cap = m1.size - 1
     n = max(n_start, 1)
-    while n <= hard_cap:
+    while n <= cap:
         t1 = 1.0 - float(np.sum(m1[: n + 1]))
         t2 = 1.0 - float(np.sum(m2[: n + 1]))
         if t1 + t2 < 0.5 * tail_tol:
             return n
-        if n == hard_cap:
+        if n == cap:
             break
-        n = min(n + max(2, n // 4), hard_cap)
+        n = min(n + max(2, n // 4), cap)
     raise TruncationError(
-        f"tail tolerance {tail_tol} not reachable below n_max = {hard_cap}"
+        f"tail tolerance {tail_tol} not reachable below n_max = {cap}"
     )
 
 
@@ -395,18 +396,15 @@ def _certify(marginals: tuple[np.ndarray, np.ndarray], q: np.ndarray) -> np.ndar
 
 
 def joint_pnd(
-    p: TwoPointParams,
-    n_max: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    hard_cap: int = 40,
+    p: TwoPointParams, n_max: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> JointPND:
     """Joint photon-number distribution, truncation chosen adaptively.
 
     n_max is a floor (requested indices stay available); the truncation
-    grows until the certified tail mass falls below tail_tol or the hard
-    cap is hit.  At g = 1 both detectors see splittings of one mode, so
-    their rescaled amplitudes must agree; that is checked before the
-    truncation search, so an inconsistent g = 1 input raises
+    grows until the certified tail mass falls below tail_tol or HARD_CAP
+    (or n_max, if larger) is hit.  At g = 1 both detectors see splittings
+    of one mode, so their rescaled amplitudes must agree; that is checked
+    before the truncation search, so an inconsistent g = 1 input raises
     DegeneracyError, never TruncationError.
     """
     if p.is_degenerate:
@@ -415,7 +413,7 @@ def joint_pnd(
             raise DegeneracyError(
                 "g = 1 limit requires matching rescaled amplitudes at both detectors"
             )
-    cap = max(hard_cap, n_max)
+    cap = max(HARD_CAP, n_max)
     full = (single_mode_pnd(p.n1, p.mu1, cap), single_mode_pnd(p.n2, p.mu2, cap))
     n_eff = _marginal_tail_order(full, n_max, tail_tol)
     marginals = (full[0][: n_eff + 1], full[1][: n_eff + 1])

@@ -167,39 +167,20 @@ def run_scan(cfg: ScanConfig, n_workers: int | None = None):
     return rows
 
 
-def thermal_fraction_for_g2(target: float) -> float:
-    """Thermal fraction f solving 1 + 2f - f^2 = target, f in [0, 1].
-
-    Bisection on the monotone left-hand side; accepts the closed
-    interval target in [1, 2] (f = 0 and f = 1 at the endpoints).
-    """
-    if not (1.0 <= target <= 2.0):
-        raise DomainError(f"target must lie in [1, 2], got {target}")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 1.0 + 2.0 * mid - mid * mid < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10:
-            break
-    return 0.5 * (lo + hi)
-
-
 def fit_g2_zero(target: float, profile: BeamProfile) -> BeamProfile:
     """Rescale n_peak so the zero-separation intensity correlation hits target.
 
     The correlation at zero separation depends only on the thermal
-    fraction f = n/(n + |mu|^2) through 1 + 2f - f^2, so n_peak is set
-    from the solved fraction while mu_peak and the widths are kept.
+    fraction f = n/(n + |mu|^2) through 1 + 2f - f^2, whose root in
+    [0, 1] is f = 1 - sqrt(2 - target); n_peak is set from it while
+    mu_peak and the widths are kept.
     """
     if not (1.0 < target < 2.0):
         raise DomainError(f"target must lie strictly inside (1, 2), got {target}")
     mu2 = abs(profile.mu_peak) ** 2
     if mu2 <= 0:
         raise DomainError("fit requires a nonzero coherent amplitude")
-    f = thermal_fraction_for_g2(target)
+    f = 1.0 - math.sqrt(2.0 - target)
     return replace(profile, n_peak=f * mu2 / (1.0 - f))
 
 

@@ -233,6 +233,39 @@ class TestSingleModePnd:
         p = single_mode_pnd(0.8, 1.2 - 0.3j, 60)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "nbar,mu,n",
+        [
+            (1e-9, 1.0 + 0j, 40),
+            (0.0, 1.0 + 0j, 40),
+            (1.0, 0j, 40),
+            (default_profile().n_peak, default_profile().mu_peak, 60),
+            (10.0, 1.0 + 0j, 150),
+        ],
+        ids=["near-coherent", "poisson", "bose-einstein", "default", "bright"],
+    )
+    def test_against_positive_sum(self, nbar, mu, n):
+        # p(n) = e^(-|mu|^2/(1+nbar))/(1+nbar) sum_k C(n,k) r^(n-k) y^k/k!, every
+        # term nonnegative; r = nbar/(1+nbar), y = |mu|^2/(1+nbar)^2
+        m2 = abs(mu) ** 2
+        r, y = nbar / (1 + nbar), m2 / (1 + nbar) ** 2
+        pref = math.exp(-m2 / (1 + nbar)) / (1 + nbar)
+        ref = np.array(
+            [
+                pref
+                * math.fsum(
+                    math.comb(j, k) * r ** (j - k) * y**k / math.factorial(k)
+                    for k in range(j + 1)
+                )
+                for j in range(n + 1)
+            ]
+        )
+        got = single_mode_pnd(nbar, mu, n)
+        assert got.shape == (n + 1,)
+        assert np.all(np.isfinite(got))
+        live = ref > 1e-300
+        assert np.max(np.abs(got - ref)[live] / ref[live]) <= 1e-12
+
 
 class TestJointPnd:
     def test_thermal_product(self):
@@ -340,7 +373,7 @@ class TestJointPnd:
         # amplitudes are the error reported
         p = TwoPointParams(n1=0.5, n2=2.0, g=1.0, mu1=1.0 + 0j, mu2=1.0 + 0j)
         with pytest.raises(DegeneracyError):
-            joint_pnd(p, 4, hard_cap=5)
+            joint_pnd(p, 4, tail_tol=1e-20)
 
 
 class TestWavepacketG2:

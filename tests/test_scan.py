@@ -1,9 +1,21 @@
-"""Scan configuration round trip and worker-pool row order."""
+"""Scan configuration round trip, worker-pool row order and the g2 fit."""
 
 import json
 from dataclasses import replace
 
-from qgs.scan import MCSettings, config_from_dict, config_to_dict, default_config, run_scan
+import pytest
+
+from qgs.fock_stats import classical_g2_closed
+from qgs.scan import (
+    MCSettings,
+    config_from_dict,
+    config_to_dict,
+    default_config,
+    default_profile,
+    fit_g2_zero,
+    run_scan,
+)
+from qgs.source_model import two_point_params
 
 
 def test_config_round_trip():
@@ -26,3 +38,10 @@ def test_rows_independent_of_workers():
     rows = run_scan(cfg, n_workers=1)
     assert len(rows) == 3 * len(cfg.pairs)
     assert run_scan(cfg, n_workers=2) == rows
+
+
+@pytest.mark.parametrize("target", [1.0001, 1.3, 1.7, 1.9999])
+def test_fit_hits_target(target):
+    profile = fit_g2_zero(target, default_profile())
+    g2 = classical_g2_closed(two_point_params(profile, 0.0, 0.0))
+    assert abs(g2 - target) <= 1e-14 * target
