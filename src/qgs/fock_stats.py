@@ -75,7 +75,8 @@ from .errors import (
 )
 from .source_model import TwoPointParams, mean_cov, mu_tilde
 
-DEFAULT_MAX_ORDER = 64
+# rho_element's bound on N + M + K + L
+MAX_ORDER = 64
 DEFAULT_TAIL_TOL = 1e-6
 DEFAULT_MARGINAL_FLOOR = 1e-12
 # joint_pnd's tail search tries truncations up to max(HARD_CAP, n_max)
@@ -224,27 +225,21 @@ def moment_ladder(A: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
     return _binomial_thinning(A[0, 2], n_max) @ h @ _binomial_thinning(A[1, 3], n_max).T
 
 
-def rho_element(
-    p: TwoPointParams, idx: FockIndex, max_order: int = DEFAULT_MAX_ORDER
-) -> complex:
+def rho_element(p: TwoPointParams, idx: FockIndex) -> complex:
     """Density-matrix element <N,M|rho|K,L> from the Gaussian recurrence.
 
     Diagonal elements (N = K, M = L) are the joint photon-number
     probabilities, real and nonnegative up to roundoff.
     """
-    if idx.order > max_order:
-        raise DomainError(
-            f"index order {idx.order} exceeds configured maximum {max_order}"
-        )
+    if idx.order > MAX_ORDER:
+        raise DomainError(f"index order {idx.order} exceeds the maximum {MAX_ORDER}")
     A, b, c = _gaussian_form(p)
     n = max(idx.N, idx.M, idx.K, idx.L)
     slab = next(itertools.islice(_slabs(A, b, n), idx.N, None))
     return complex(math.exp(c) * slab[idx.M, idx.K, idx.L])
 
 
-def rho_element_quadrature(
-    p: TwoPointParams, idx: FockIndex, nodes: int | None = None, certify: bool = True
-) -> complex:
+def rho_element_quadrature(p: TwoPointParams, idx: FockIndex) -> complex:
     """Direct tensor-product quadrature of the matrix-element integral.
 
     Independent numerical oracle: brings the Gaussian weight of the
@@ -257,8 +252,7 @@ def rho_element_quadrature(
     N, M, K, L = idx.N, idx.M, idx.K, idx.L
     if idx.order > 20:
         raise DomainError("quadrature oracle supports N+M+K+L <= 20")
-    if nodes is None:
-        nodes = max(10, (idx.order + 2) // 2 + 4)
+    nodes = max(10, (idx.order + 2) // 2 + 4)
 
     mc = mean_cov(p)
     mu, gamma = mc.mu, mc.gamma
@@ -293,15 +287,10 @@ def rho_element_quadrature(
         )
         return pref * scale * complex(np.sum(weights * poly))
 
-    val = evaluate(nodes)
-    if certify:
-        ref = evaluate(nodes + 4)
-        if abs(val - ref) > 1e-8 * (1.0 + abs(ref)):
-            raise CertificationError(
-                f"quadrature for {idx} did not converge: {val} vs {ref}"
-            )
-        val = ref
-    return val
+    val, ref = evaluate(nodes), evaluate(nodes + 4)
+    if abs(val - ref) > 1e-8 * (1.0 + abs(ref)):
+        raise CertificationError(f"quadrature for {idx} did not converge: {val} vs {ref}")
+    return ref
 
 
 def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:

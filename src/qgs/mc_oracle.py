@@ -25,6 +25,11 @@ from .source_model import TwoPointParams
 
 _BLOCK = 1 << 16
 _COUNT_CAP = 512  # counts beyond this go to overflow_count
+_MIN_MARGINAL_COUNTS = 100  # empirical_g2's floor on row-N and column-M counts
+# compare's gates
+_Z_THRESHOLD = 4.0
+_MIN_EXPECTED = 25.0
+_MAX_FAIL_FRACTION = 0.005
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,7 @@ def empirical_pnd(cfg: SamplerConfig) -> EmpiricalPND:
     )
 
 
-def empirical_g2(e: EmpiricalPND, N: int, M: int, min_marginal: int = 100) -> G2Estimate:
+def empirical_g2(e: EmpiricalPND, N: int, M: int) -> G2Estimate:
     """Empirical wavepacket correlation counts(N,M) total / (row(N) col(M)).
 
     The standard error comes from the delta method on the multinomial
@@ -185,9 +190,9 @@ def empirical_g2(e: EmpiricalPND, N: int, M: int, min_marginal: int = 100) -> G2
     row = float(e.counts[N, :].sum())
     col = float(e.counts[:, M].sum())
     t = float(e.total)
-    if row < min_marginal or col < min_marginal:
+    if row < _MIN_MARGINAL_COUNTS or col < _MIN_MARGINAL_COUNTS:
         raise InsufficientCountsError(
-            f"marginal counts ({row:.0f}, {col:.0f}) below floor {min_marginal}"
+            f"marginal counts ({row:.0f}, {col:.0f}) below floor {_MIN_MARGINAL_COUNTS}"
         )
     reliable = x >= 1
     if x == 0:
@@ -204,19 +209,12 @@ def empirical_g2(e: EmpiricalPND, N: int, M: int, min_marginal: int = 100) -> G2
     return G2Estimate(estimate=est, std_error=se, reliable=reliable)
 
 
-def compare(
-    analytic,
-    empirical: EmpiricalPND,
-    z_threshold: float = 4.0,
-    min_expected: float = 25.0,
-    max_fail_fraction: float = 0.005,
-    tv_tolerance: float = 3e-3,
-) -> ComparisonReport:
+def compare(analytic, empirical: EmpiricalPND, tv_tolerance: float) -> ComparisonReport:
     """Per-cell z-score and total-variation comparison of the two routes.
 
-    Cells with expected count >= min_expected qualify for the z test; the
-    verdict fails when more than max_fail_fraction of qualifying cells
-    exceed z_threshold or the total variation distance exceeds
+    Cells with expected count >= _MIN_EXPECTED qualify for the z test; the
+    verdict fails when more than _MAX_FAIL_FRACTION of qualifying cells
+    exceed _Z_THRESHOLD or the total variation distance exceeds
     tv_tolerance.
     """
     if analytic.params != empirical.params:
@@ -231,14 +229,14 @@ def compare(
     obs[: empirical.counts.shape[0], : empirical.counts.shape[1]] = empirical.counts
 
     expected = t * pa
-    qual = expected >= min_expected
+    qual = expected >= _MIN_EXPECTED
     z = np.zeros_like(pa)
     np.divide(obs - expected, np.sqrt(expected * (1.0 - pa)), out=z, where=qual)
-    n_fail = int(np.sum(np.abs(z[qual]) > z_threshold))
+    n_fail = int(np.sum(np.abs(z[qual]) > _Z_THRESHOLD))
     n_qual = int(np.sum(qual))
     failing = tuple(
         (int(i), int(j), float(z[i, j]))
-        for i, j in zip(*np.nonzero(qual & (np.abs(z) > z_threshold)))
+        for i, j in zip(*np.nonzero(qual & (np.abs(z) > _Z_THRESHOLD)))
     )
 
     # lump the analytic tail against the empirical mass outside the grid
@@ -247,7 +245,7 @@ def compare(
         float(np.sum(np.abs(obs / t - pa))) + abs(emp_out / t - analytic.tail_mass)
     )
 
-    passed = (n_qual > 0) and (n_fail <= max_fail_fraction * n_qual) and (tv < tv_tolerance)
+    passed = (n_qual > 0) and (n_fail <= _MAX_FAIL_FRACTION * n_qual) and (tv < tv_tolerance)
     max_z = float(np.max(np.abs(z[qual]))) if n_qual else float("nan")
     return ComparisonReport(
         n_cells=int(pa.size),

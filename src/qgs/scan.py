@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +43,12 @@ class MCSettings:
     seed: int = 20240801
     n_workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ConfigError(f"n_samples must be at least 1, got {self.n_samples}")
+        if self.n_workers < 1:
+            raise ConfigError(f"n_workers must be at least 1, got {self.n_workers}")
+
 
 @dataclass(frozen=True)
 class ScanConfig:
@@ -67,6 +72,8 @@ class ScanConfig:
             raise ConfigError("scan_min must be below scan_max")
         if self.steps < 2:
             raise ConfigError("steps must be at least 2")
+        if not self.tail_tol > 0:
+            raise ConfigError(f"tail_tol must be positive, got {self.tail_tol}")
         if not self.pairs:
             raise ConfigError("at least one (N, M) pair is required")
         for pair in self.pairs:
@@ -136,25 +143,13 @@ def _scan_task(args):
     return _scan_position(cfg, sep)
 
 
-def default_workers() -> int:
-    env = os.environ.get("QGS_WORKERS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"QGS_WORKERS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise ConfigError("QGS_WORKERS must be at least 1")
-        return n
-    return 1
+def run_scan(cfg: ScanConfig, n_workers: int):
+    """Compute every ScanRow of a configuration, ordered by (position, pair).
 
-
-def run_scan(cfg: ScanConfig, n_workers: int | None = None):
-    """Compute every ScanRow of a configuration, ordered by (position, pair)."""
-    if n_workers is None:
-        n_workers = default_workers()
-    seps = separations(cfg)
-    tasks = [(cfg, float(s)) for s in seps]
+    The name and the position of n_workers are kept for bench/tracing.py,
+    which wraps qgs.cli.run_scan and reads the worker count from the call.
+    """
+    tasks = [(cfg, float(s)) for s in separations(cfg)]
     if n_workers > 1 and len(tasks) > 1:
         # imported here: one-worker runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -163,8 +158,7 @@ def run_scan(cfg: ScanConfig, n_workers: int | None = None):
             per_position = list(pool.map(_scan_task, tasks, chunksize=1))
     else:
         per_position = [_scan_task(t) for t in tasks]
-    rows = [row for group in per_position for row in group]
-    return rows
+    return [row for group in per_position for row in group]
 
 
 def fit_g2_zero(target: float, profile: BeamProfile) -> BeamProfile:
@@ -225,81 +219,66 @@ def rows_to_csv(rows) -> str:
 
 
 def config_to_dict(cfg: ScanConfig) -> dict:
-    return {
-        "profile": {
-            "n_peak": cfg.profile.n_peak,
-            "mu_peak": [cfg.profile.mu_peak.real, cfg.profile.mu_peak.imag],
-            "sigma0": cfg.profile.sigma0,
-            "sigma1": cfg.profile.sigma1,
-        },
-        "fixed_position": cfg.fixed_position,
-        "scan_min": cfg.scan_min,
-        "scan_max": cfg.scan_max,
-        "steps": cfg.steps,
-        "pairs": [list(p) for p in cfg.pairs],
-        "n_max": cfg.n_max,
-        "tail_tol": cfg.tail_tol,
-        "mc": {
-            "n_samples": cfg.mc.n_samples,
-            "seed": cfg.mc.seed,
-            "n_workers": cfg.mc.n_workers,
-        },
-        "validate_separations": (
-            list(cfg.validate_separations) if cfg.validate_separations else None
-        ),
-        "output_format": cfg.output_format,
-        "output_path": cfg.output_path,
-    }
+    """JSON-ready form of a configuration; mu_peak is written as [re, im]."""
+    doc = asdict(cfg)
+    mu = cfg.profile.mu_peak
+    doc["profile"]["mu_peak"] = [mu.real, mu.imag]
+    return doc
+
+
+def _complex(v) -> complex:
+    return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+
+
+def _build(cls, doc):
+    """cls from the entries of doc that name its fields, each coerced to its type."""
+    return cls(**{f.name: _COERCE[f.type](doc[f.name]) for f in fields(cls) if f.name in doc})
+
+
+# keyed by the field annotations as written (they stay strings under
+# `from __future__ import annotations`)
+_COERCE = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "complex": _complex,
+    "tuple": lambda v: tuple(tuple(int(x) for x in pair) for pair in v),  # pairs
+    "tuple | None": lambda v: tuple(float(x) for x in v) if v else None,  # separations
+    "BeamProfile": lambda v: _build(BeamProfile, v),
+    "MCSettings": lambda v: _build(MCSettings, v),
+}
 
 
 def config_from_dict(doc: dict) -> ScanConfig:
+    """Inverse of config_to_dict; absent entries take the dataclass defaults."""
     try:
-        prof = doc["profile"]
-        mu = prof["mu_peak"]
-        mu_peak = complex(mu[0], mu[1]) if isinstance(mu, (list, tuple)) else complex(mu)
-        profile = BeamProfile(
-            n_peak=float(prof["n_peak"]),
-            mu_peak=mu_peak,
-            sigma0=float(prof["sigma0"]),
-            sigma1=float(prof["sigma1"]),
-        )
-        mc_doc = doc.get("mc", {})
-        mc = MCSettings(
-            n_samples=int(mc_doc.get("n_samples", MCSettings.n_samples)),
-            seed=int(mc_doc.get("seed", MCSettings.seed)),
-            n_workers=int(mc_doc.get("n_workers", MCSettings.n_workers)),
-        )
-        vsep = doc.get("validate_separations")
-        return ScanConfig(
-            profile=profile,
-            fixed_position=float(doc.get("fixed_position", 0.0)),
-            scan_min=float(doc.get("scan_min", 0.0)),
-            scan_max=float(doc.get("scan_max", 4.0)),
-            steps=int(doc.get("steps", 81)),
-            pairs=tuple(tuple(int(v) for v in p) for p in doc.get("pairs", DEFAULT_PAIRS)),
-            n_max=int(doc.get("n_max", 16)),
-            tail_tol=float(doc.get("tail_tol", 1e-6)),
-            mc=mc,
-            validate_separations=tuple(float(s) for s in vsep) if vsep else None,
-            output_format=str(doc.get("output_format", "csv")),
-            output_path=str(doc.get("output_path", "scan.csv")),
-        )
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+        return _build(ScanConfig, doc)
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def emit(rows, fmt: str, path: str, cfg: ScanConfig | None = None) -> None:
-    """Write rows as CSV or JSON with full-precision floats."""
+def write_output(path: str, payload: str) -> None:
+    """Write one output file; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def emit(rows, fmt: str, path: str, cfg: ScanConfig) -> None:
+    """Write rows as CSV or JSON with full-precision floats.
+
+    The argument order is kept for bench/tracing.py, which wraps
+    qgs.cli.emit and sizes the file named by its third argument.
+    """
     if not rows:
         raise ConfigError("no rows to emit")
     if fmt == "csv":
         payload = rows_to_csv(rows)
     elif fmt == "json":
         doc = {
-            "metadata": {
-                "version": __version__,
-                "config": config_to_dict(cfg) if cfg is not None else None,
-            },
+            "metadata": {"version": __version__, "config": config_to_dict(cfg)},
             "rows": [
                 {
                     "separation": r.separation,
@@ -317,11 +296,7 @@ def emit(rows, fmt: str, path: str, cfg: ScanConfig | None = None) -> None:
         payload = json.dumps(doc, indent=2) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    write_output(path, payload)
 
 
 def validation_separations(cfg: ScanConfig):
@@ -330,24 +305,16 @@ def validation_separations(cfg: ScanConfig):
     return [cfg.scan_min, 0.5 * (cfg.scan_min + cfg.scan_max), cfg.scan_max]
 
 
-def validate(
-    cfg: ScanConfig,
-    n_samples: int | None = None,
-    seed: int | None = None,
-    perturb: tuple | None = None,
-    tv_tolerance: float | None = None,
-):
+def validate(cfg: ScanConfig, perturb: tuple | None = None):
     """Analytic-versus-Monte-Carlo comparison at the configured separations.
 
     Returns (passed, report_dict).  perturb = (N, M, delta) is a test
     hook that moves delta counts into cell (N, M) before comparing.
-    The default total-variation gate is 3e-3 at 1e7 samples, scaled as
+    The total-variation gate is 3e-3 at 1e7 samples, scaled as
     1/sqrt(n_samples) since the statistical TV noise floor scales that way.
     """
-    n_samples = cfg.mc.n_samples if n_samples is None else n_samples
-    seed = cfg.mc.seed if seed is None else seed
-    if tv_tolerance is None:
-        tv_tolerance = 3e-3 * math.sqrt(1e7 / n_samples)
+    n_samples, seed = cfg.mc.n_samples, cfg.mc.seed
+    tv_tolerance = 3e-3 * math.sqrt(1e7 / n_samples)
     results = []
     all_passed = True
     for i, sep in enumerate(validation_separations(cfg)):

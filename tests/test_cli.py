@@ -1,5 +1,6 @@
-"""CLI exit codes and the cost of importing the package."""
+"""CLI exit codes, option precedence and the cost of importing the package."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qgs.cli import main
+from qgs.cli import _load_config, build_parser, main
+from qgs.scan import config_to_dict, default_config
 
 
 def test_scan_succeeds(tmp_path):
@@ -34,13 +36,73 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
     [
         ["fit-g2", "--target", "1.5", "--mu-peak", "x"],
         ["validate", "--samples", "1000", "--perturb-cell", "a,b,c"],
+        ["scan", "--steps", "3", "--out", "missing/scan.csv"],
+        ["pnd", "--separation", "1", "--out", "missing/pnd.csv"],
+        ["validate", "--samples", "1000", "--report", "missing/report.json"],
+        ["scan", "--steps", "3", "--workers", "0"],
+        ["scan", "--steps", "3", "--workers", "-3"],
+        ["validate", "--samples", "0"],
+        ["scan", "--steps", "3", "--tail-tol", "-1"],
     ],
-    ids=["mu-peak", "perturb-cell"],
+    ids=[
+        "mu-peak",
+        "perturb-cell",
+        "scan-out",
+        "pnd-out",
+        "validate-report",
+        "workers-zero",
+        "workers-negative",
+        "samples-zero",
+        "tail-tol-negative",
+    ],
 )
 def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert not any(tmp_path.iterdir())
+
+
+def write_config(tmp_path, **mc):
+    """The default configuration as a file, with mc.n_workers only if given."""
+    doc = config_to_dict(default_config())
+    del doc["mc"]["n_workers"]
+    doc["mc"].update(mc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flag, in_file, env, expected",
+    [
+        (["--workers", "3"], {"n_workers": 1}, "2", 3),
+        ([], {"n_workers": 1}, "2", 1),
+        ([], {"n_workers": 4}, "2", 4),
+        ([], {}, "2", 2),
+        ([], {}, None, 1),
+    ],
+    ids=["flag", "file-one", "file", "env", "default"],
+)
+def test_worker_precedence(tmp_path, monkeypatch, flag, in_file, env, expected):
+    if env is None:
+        monkeypatch.delenv("QGS_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("QGS_WORKERS", env)
+    argv = ["scan", "--config", write_config(tmp_path, **in_file), *flag]
+    assert _load_config(build_parser().parse_args(argv)).mc.n_workers == expected
+
+
+@pytest.mark.parametrize("source", ["env", "file"])
+def test_zero_workers_is_config_error_from_any_source(tmp_path, monkeypatch, source):
+    if source == "env":
+        monkeypatch.setenv("QGS_WORKERS", "0")
+        config = write_config(tmp_path)
+    else:
+        monkeypatch.delenv("QGS_WORKERS", raising=False)
+        config = write_config(tmp_path, n_workers=0)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", config, "--steps", "3", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_perturbed_validation_fails(tmp_path):
@@ -62,7 +124,7 @@ def run_fresh(code):
 
 
 def test_import_loads_no_scipy():
-    run_fresh("import qgs, sys; assert 'scipy' not in sys.modules")
+    run_fresh("import qgs.cli, sys; assert 'scipy' not in sys.modules")
 
 
 def test_cli_import_loads_no_process_pool():

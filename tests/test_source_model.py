@@ -35,7 +35,7 @@ class TestProfile:
     def test_direct_substitution(self):
         prof = BeamProfile(n_peak=1.0, mu_peak=1e-12 + 0j, sigma0=4.0, sigma1=1.0)
         n, mu = profile_at(prof, 2.0)
-        assert n == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert n == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -50,13 +50,13 @@ class TestDegreeOfCoherence:
 
     def test_unit_separation(self, profile):
         assert degree_of_coherence(profile, 1.0, 0.0) == pytest.approx(
-            math.exp(-1.0), rel=1e-14
+            math.exp(-1.0), rel=1e-14, abs=0
         )
 
     def test_direct_substitution(self):
         prof = BeamProfile(n_peak=1.0, mu_peak=1.0, sigma0=1.0, sigma1=2.0)
         assert degree_of_coherence(prof, 3.0, 0.0) == pytest.approx(
-            math.exp(-4.5), rel=1e-14
+            math.exp(-4.5), rel=1e-14, abs=0
         )
 
 
@@ -76,9 +76,9 @@ class TestTwoPointParams:
         prof = BeamProfile(n_peak=2.0, mu_peak=1.0 + 0j, sigma0=1.0, sigma1=1.0)
         p = two_point_params(prof, 0.0, 1.0)
         assert p.n1 == 2.0
-        assert p.n2 == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
-        assert p.g == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert p.mu2 == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert p.n2 == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14, abs=0)
+        assert p.g == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0)
+        assert p.mu2 == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -115,7 +115,7 @@ class TestMeanCov:
         p = TwoPointParams(n1=n1, n2=n2, g=g, mu1=0.3 + 0.1j, mu2=-0.2j)
         mc = mean_cov(p)
         expected = (n1 * n2 * (1 - g * g) / 4.0) ** 2
-        assert np.linalg.det(mc.gamma) == pytest.approx(expected, rel=1e-12)
+        assert np.linalg.det(mc.gamma) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_symmetry(self):
         p = TwoPointParams(n1=1.7, n2=0.4, g=0.6, mu1=1j, mu2=2.0 + 0j)
