@@ -27,6 +27,7 @@ from .errors import CertificationError, ConfigError, QgsError
 from .fock_stats import joint_pnd
 from .scan import (
     ScanConfig,
+    check_writable,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -188,8 +189,9 @@ def _cmd_validate(args) -> int:
         except ValueError as exc:
             raise ConfigError("--perturb-cell expects N,M,delta") from exc
         perturb = (n, m, delta)
-    passed, doc = validate(cfg, perturb=perturb)
     report_path = args.report or "validate_report.json"
+    check_writable(report_path)
+    passed, doc = validate(cfg, perturb=perturb)
     write_output(report_path, json.dumps(doc, indent=2) + "\n")
     for res in doc["results"]:
         rep = res["report"]

@@ -46,9 +46,11 @@ The single-detector marginals are displaced-thermal for every g.
 single_mode_pnd evaluates their Laguerre closed form by one three-term
 recurrence on the probabilities themselves, the same for thermal,
 coherent and mixed modes.  joint_pnd calls it once per mode, up to
-HARD_CAP, and every consumer reads a prefix of those two arrays:
-the truncation search sums them, the checks compare against them, and
-JointPND carries them for wavepacket_g2.
+HARD_CAP, and takes the cumulative tails t_i(n) = 1 - sum_{k<=n} m_i(k)
+of both arrays once.  The truncation n_eff is one lookup, the first
+n >= n_max with t_1(n) + t_2(n) < tail_tol / 2; the checks read t_1 and
+t_2 at n_eff and compare against the marginal prefixes, and JointPND
+carries those prefixes for wavepacket_g2.
 
 There is no cancellation bookkeeping inside either recurrence.  After the
 fact, joint_pnd checks the normalization against the certified marginal
@@ -73,16 +75,18 @@ from .errors import (
     PrecisionLossError,
     TruncationError,
 )
-from .source_model import TwoPointParams, mean_cov, mu_tilde
+from .source_model import TwoPointParams, mean_cov
 
 # rho_element's bound on N + M + K + L
 MAX_ORDER = 64
 DEFAULT_TAIL_TOL = 1e-6
 DEFAULT_MARGINAL_FLOOR = 1e-12
-# joint_pnd's tail search tries truncations up to max(HARD_CAP, n_max)
+# joint_pnd's truncation lookup reaches up to max(HARD_CAP, n_max)
 HARD_CAP = 40
 # absolute slack of the after-the-fact checks on p(N, M); roundoff in the
-# recurrence and in the closed-form marginals is ~1e-16 per cell
+# recurrence and in the closed-form marginals is ~1e-16 per cell.  It is
+# also the smallest tail_tol joint_pnd accepts: the normalization check
+# cannot tell a smaller tail from roundoff.
 _CHECK_TOL = 1e-12
 
 
@@ -111,8 +115,8 @@ class JointPND:
     p is a (n_max+1) x (n_max+1) matrix of diagonal matrix elements;
     tail_mass certifies the probability weight beyond the truncation.
     marginals holds the closed-form single-detector distributions
-    single_mode_pnd of both modes for N = 0 .. n_max, the arrays the
-    truncation search and the checks of joint_pnd read.
+    single_mode_pnd of both modes for N = 0 .. n_max, the prefixes the
+    checks of joint_pnd compare against.
     """
 
     n_max: int
@@ -320,47 +324,34 @@ def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:
     return np.array(q[1:])
 
 
-def _marginal_tail_order(
-    marginals: tuple[np.ndarray, np.ndarray], n_start: int, tail_tol: float
-) -> int:
-    """First candidate n_max whose certified joint tail is below tail_tol.
+def _marginal_tail_order(tails: np.ndarray, n_start: int, tail_tol: float) -> int:
+    """First n >= n_start whose summed marginal tail tails[n] is below tail_tol / 2.
 
-    P(N > n or M > n) is bounded by the sum of the two marginal tails,
-    read off the closed-form marginals, whose length sets the hard cap.
-    Candidates grow geometrically from n_start by max(2, n // 4), so the
-    returned n can exceed the smallest passing truncation by up to one
-    step.  The last step is clamped so that the cap itself is always
-    tried before TruncationError is raised.
+    tails[n] = t1(n) + t2(n) bounds P(N > n or M > n); its length, the
+    length of the closed-form marginals, sets the hard cap.  One lookup
+    on the array returns the smallest certified truncation.
     """
-    m1, m2 = marginals
-    cap = m1.size - 1
-    n = max(n_start, 1)
-    while n <= cap:
-        t1 = 1.0 - float(np.sum(m1[: n + 1]))
-        t2 = 1.0 - float(np.sum(m2[: n + 1]))
-        if t1 + t2 < 0.5 * tail_tol:
-            return n
-        if n == cap:
-            break
-        n = min(n + max(2, n // 4), cap)
-    raise TruncationError(
-        f"tail tolerance {tail_tol} not reachable below n_max = {cap}"
-    )
+    passing = np.flatnonzero(tails[n_start:] < 0.5 * tail_tol)
+    if passing.size == 0:
+        raise TruncationError(
+            f"tail tolerance {tail_tol} not reachable below n_max = {tails.size - 1}"
+        )
+    return n_start + int(passing[0])
 
 
-def _certify(marginals: tuple[np.ndarray, np.ndarray], q: np.ndarray) -> np.ndarray:
+def _certify(
+    marginals: tuple[np.ndarray, np.ndarray], t1: float, t2: float, q: np.ndarray
+) -> np.ndarray:
     """The after-the-fact checks on the diagonal q = G[N, M, N, M]; returns p(N, M).
 
     marginals are the closed-form single_mode_pnd of both modes, one
-    entry per row (column) of q.  With t1, t2 the marginal tails beyond
-    the truncation, the joint tail lies in [max(t1, t2), t1 + t2] and each
+    entry per row (column) of q, and t1, t2 their tails beyond the
+    truncation.  The joint tail lies in [max(t1, t2), t1 + t2] and each
     truncated row (column) sum falls short of the closed-form marginal by
     at most t2 (t1).
     """
     n = q.shape[0] - 1
     m1, m2 = marginals
-    t1 = 1.0 - float(m1.sum())
-    t2 = 1.0 - float(m2.sum())
     mat = q.real
     tail = 1.0 - float(mat.sum())
     short1 = m1 - mat.sum(axis=1)
@@ -387,28 +378,28 @@ def _certify(marginals: tuple[np.ndarray, np.ndarray], q: np.ndarray) -> np.ndar
 def joint_pnd(
     p: TwoPointParams, n_max: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> JointPND:
-    """Joint photon-number distribution, truncation chosen adaptively.
+    """Joint photon-number distribution at the smallest certified truncation.
 
-    n_max is a floor (requested indices stay available); the truncation
-    grows until the certified tail mass falls below tail_tol or HARD_CAP
-    (or n_max, if larger) is hit.  At g = 1 both detectors see splittings
-    of one mode, so their rescaled amplitudes must agree; that is checked
-    before the truncation search, so an inconsistent g = 1 input raises
-    DegeneracyError, never TruncationError.
+    n_max is a floor (requested indices stay available).  The truncation
+    is the first n >= n_max whose summed marginal tail is below
+    tail_tol / 2, searched up to HARD_CAP (or n_max, if larger).  A
+    tail_tol below _CHECK_TOL cannot be certified in double precision and
+    raises TruncationError.  The reported tail_mass is 1 - sum p, clamped
+    at 0 where roundoff takes it below.
     """
-    if p.is_degenerate:
-        mt1, mt2 = mu_tilde(p)
-        if abs(mt1 - mt2) > 1e-8 * max(abs(mt1), abs(mt2), 1.0):
-            raise DegeneracyError(
-                "g = 1 limit requires matching rescaled amplitudes at both detectors"
-            )
+    if tail_tol < _CHECK_TOL:
+        raise TruncationError(
+            f"tail tolerance {tail_tol} is below {_CHECK_TOL}, the resolution of "
+            "the double-precision normalization check"
+        )
     cap = max(HARD_CAP, n_max)
     full = (single_mode_pnd(p.n1, p.mu1, cap), single_mode_pnd(p.n2, p.mu2, cap))
-    n_eff = _marginal_tail_order(full, n_max, tail_tol)
+    t1, t2 = (1.0 - np.cumsum(m) for m in full)
+    n_eff = _marginal_tail_order(t1 + t2, n_max, tail_tol)
     marginals = (full[0][: n_eff + 1], full[1][: n_eff + 1])
     A, b, c = _gaussian_form(p)
-    mat = _certify(marginals, math.exp(c) * moment_ladder(A, b, n_eff))
-    tail = 1.0 - float(mat.sum())
+    mat = _certify(marginals, t1[n_eff], t2[n_eff], math.exp(c) * moment_ladder(A, b, n_eff))
+    tail = max(0.0, 1.0 - float(mat.sum()))
     if tail >= tail_tol:
         raise TruncationError(
             f"tail mass {tail:.3e} above tolerance {tail_tol} at n_max = {n_eff}"
@@ -426,7 +417,9 @@ def wavepacket_g2(
     every g (g = 1 included), so they are read from pnd.marginals, the
     closed form single_mode_pnd that joint_pnd evaluated, rather than from
     row and column sums of the truncated matrix, which fall short of the
-    true marginals by the tail mass.
+    true marginals by the tail mass.  A marginal below marginal_floor, or
+    a product of the two that underflows to 0, raises
+    InsufficientCountsError.
     """
     if N > pnd.n_max or M > pnd.n_max or N < 0 or M < 0:
         raise DomainError(f"pair ({N}, {M}) outside truncation n_max = {pnd.n_max}")
@@ -436,7 +429,10 @@ def wavepacket_g2(
         raise InsufficientCountsError(
             f"marginal probability below floor {marginal_floor:g} for pair ({N}, {M})"
         )
-    return float(pnd.p[N, M]) / (row * col)
+    denom = row * col
+    if denom == 0.0:
+        raise InsufficientCountsError(f"marginal product underflows for pair ({N}, {M})")
+    return float(pnd.p[N, M]) / denom
 
 
 def classical_g2(pnd: JointPND) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -231,7 +232,14 @@ def _complex(v) -> complex:
 
 
 def _build(cls, doc):
-    """cls from the entries of doc that name its fields, each coerced to its type."""
+    """cls from the entries of doc, each coerced to the type of its field.
+
+    An entry that names no field of cls is a ConfigError, so a misspelt
+    setting is never replaced by its default without a word.
+    """
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} setting {', '.join(unknown)}")
     return cls(**{f.name: _COERCE[f.type](doc[f.name]) for f in fields(cls) if f.name in doc})
 
 
@@ -255,6 +263,16 @@ def config_from_dict(doc: dict) -> ScanConfig:
         return _build(ScanConfig, doc)
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+
+
+def check_writable(path: str) -> None:
+    """Raise the ConfigError write_output would, before any work is spent.
+
+    Only the directory is checked, so no file is created.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise ConfigError(f"cannot write {path}: no writable directory {parent}")
 
 
 def write_output(path: str, payload: str) -> None:

@@ -113,14 +113,3 @@ def mean_cov(p: TwoPointParams) -> MeanCov:
     mu = np.array([p.mu1.real, p.mu1.imag, p.mu2.real, p.mu2.imag])
     return MeanCov(mu=mu, gamma=gamma, degenerate=p.is_degenerate)
 
-
-def mu_tilde(p: TwoPointParams):
-    """Rescaled amplitudes mu_i / cos, mu_i / sin of the two-mode rotation.
-
-    These are the natural coordinates of the g -> 1 limit, where the two
-    detectors see perfectly correlated splittings of one mode.
-    """
-    nt = p.n1 + p.n2
-    ct = math.sqrt(p.n1 / nt)
-    st = math.sqrt(p.n2 / nt)
-    return p.mu1 / ct, p.mu2 / st

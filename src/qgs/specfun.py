@@ -13,8 +13,8 @@ with combinatorially growing cancellation.
 
 The photon-number engine in :mod:`qgs.fock_stats` no longer uses this
 module: it runs a complex128 Gaussian Fock recurrence instead.  The
-module is standalone, is not imported by ``import qgs``, and loads
-scipy only inside :func:`quadrature_moment`.
+module is standalone, is not imported by ``import qgs``, and loads no
+scipy.
 
 All functions are pure; cached tables are immutable after creation.
 """
@@ -230,27 +230,3 @@ def gaussian_moment(p: MomentParams) -> float:
     fh, fl = _moment_ladder_dd(p.a, p.b, p.n)
     return float(fh[p.n])
 
-
-def quadrature_moment(p: MomentParams, rel_tol: float = 1e-10) -> float:
-    """Adaptive quadrature of q^n exp(-a q^2 - b q), the independent oracle.
-
-    The integration window is wide enough that the discarded tail is
-    below 1e-15 of the result; a ConvergenceError is raised when the
-    adaptive scheme cannot certify rel_tol * (1 + |result|).
-    """
-    from scipy import integrate
-
-    a, b, n = p.a, p.b, p.n
-    half_width = max(20.0, (abs(b) + 10.0 * math.sqrt(n + 1)) / a + 10.0 / math.sqrt(a))
-
-    def integrand(q: float) -> float:
-        return q**n * math.exp(-a * q * q - b * q)
-
-    val, err = integrate.quad(
-        integrand, -half_width, half_width, epsabs=1e-13, epsrel=1e-12, limit=400
-    )
-    if err > rel_tol * (1.0 + abs(val)):
-        raise ConvergenceError(
-            f"quadrature_moment(a={a}, b={b}, n={n}): error {err:.2e} above tolerance"
-        )
-    return val

@@ -26,7 +26,8 @@ def test_malformed_pairs_is_config_error(tmp_path, pairs):
 
 
 def test_unreachable_tail_is_certification_failure(tmp_path):
-    # no truncation under any cap reaches a marginal tail of 5e-21
+    # a tail_tol below the 1e-12 resolution of the normalization check
+    # cannot be certified in double precision
     out = tmp_path / "scan.csv"
     assert main(["scan", "--steps", "3", "--tail-tol", "1e-20", "--out", str(out)]) == 3
 
@@ -60,6 +61,41 @@ def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert not any(tmp_path.iterdir())
+
+
+def test_dim_beam_rows_flag_marginal_floor(tmp_path):
+    # far out on the beam p1(16) p2(16) underflows to 0
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--fixed-position", "10", "--scan-max", "1", "--steps", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    dim = [r for r in rows if (r[1], r[2]) == ("16", "16")]
+    assert len(dim) == 2
+    assert all(r[3] == "" and "marginal-floor" in r[-1].split(";") for r in dim)
+
+
+def test_report_path_checked_before_sampling(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before checking the report path")
+
+    monkeypatch.setattr("qgs.scan.empirical_pnd", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--samples", "1000", "--report", "missing/r.json"]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "section, key", [(None, "tail_toll"), ("mc", "n_sample")], ids=["top", "nested"]
+)
+def test_unknown_config_key_is_config_error(tmp_path, capsys, section, key):
+    doc = config_to_dict(default_config())
+    (doc[section] if section else doc)[key] = 5
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", str(path), "--steps", "3", "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_config(tmp_path, **mc):

@@ -8,9 +8,9 @@ import pytest
 
 import qgs.fock_stats as fock_stats
 from qgs.errors import (
-    DegeneracyError,
     DomainError,
     InsufficientCountsError,
+    TruncationError,
 )
 from qgs.fock_stats import (
     DEFAULT_TAIL_TOL,
@@ -55,15 +55,21 @@ def slab_diagonal(A, b, n):
 
 
 def marginals_to(p, n):
-    """Both closed-form marginals up to n, the arrays joint_pnd's tail search reads."""
+    """Both closed-form marginals up to n, the arrays joint_pnd evaluates."""
     return single_mode_pnd(p.n1, p.mu1, n), single_mode_pnd(p.n2, p.mu2, n)
 
 
-def scan_position(n_peak, separation):
+def summed_tails(p, n):
+    """t1 + t2 up to n, the array joint_pnd's truncation lookup reads."""
+    m1, m2 = marginals_to(p, n)
+    return (1.0 - np.cumsum(m1)) + (1.0 - np.cumsum(m2))
+
+
+def scan_position(n_peak, separation, fixed=0.0):
     profile = default_profile()
     if n_peak is not None:
         profile = replace(profile, n_peak=n_peak)
-    return two_point_params(profile, 0.0, separation)
+    return two_point_params(profile, fixed, fixed + separation)
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +192,7 @@ class TestMomentLadder:
     @pytest.mark.parametrize("n_peak", [None, 1.5])
     def test_scan_profiles(self, n_peak, separation):
         p = scan_position(n_peak, separation)
-        n = _marginal_tail_order(marginals_to(p, 40), 16, DEFAULT_TAIL_TOL)
+        n = _marginal_tail_order(summed_tails(p, 40), 16, DEFAULT_TAIL_TOL)
         self.assert_matches_slabs(p, n)
 
     def test_beyond_hard_cap(self):
@@ -340,16 +346,46 @@ class TestJointPnd:
         assert pnd.tail_mass < 1e-6
         assert np.all(pnd.p >= 0)
 
-    def test_degenerate_requires_consistent_amplitudes(self):
-        p = TwoPointParams(n1=0.5, n2=2.0, g=1.0, mu1=1.0 + 0j, mu2=1.0 + 0j)
-        with pytest.raises(DegeneracyError):
-            joint_pnd(p, 4)
+    def test_unmatched_amplitudes_at_g1(self):
+        # at g = 1 the two amplitudes need not be splittings of one mode's
+        # amplitude; the same Gaussian form covers every g
+        p = TwoPointParams(n1=0.5, n2=1.0, g=1.0, mu1=1.0 + 0j, mu2=0.3 + 0j)
+        pnd = joint_pnd(p, 8)
+        A, b, c = _gaussian_form(p)
+        ref = math.exp(c) * slab_diagonal(A, b, pnd.n_max).real
+        live = ref > 1e-300
+        assert np.max(np.abs(pnd.p - ref)[live] / ref[live]) <= 1e-10
+        emp = empirical_pnd(SamplerConfig(params=p, n_samples=2_000_000, seed=2718))
+        k = min(pnd.n_max + 1, emp.counts.shape[0], emp.counts.shape[1])
+        tv = 0.5 * np.abs(emp.counts[:k, :k] / emp.total - pnd.p[:k, :k]).sum()
+        assert tv < 7e-3  # statistical floor at 2e6 samples
 
     def test_tail_search_tries_hard_cap(self):
-        # geometric steps from 6 pass 33 and overshoot to 41; the tail falls
-        # below 0.5e-9 only at 40, so the cap itself must be a candidate
+        # the summed tail falls below 1.5e-11 only at 40 (2.4e-11 at 39),
+        # so the cap itself must be a candidate
         p = TwoPointParams(n1=0.9, n2=0.6, g=0.3, mu1=0.8 + 0j, mu2=0.5 + 0j)
-        assert _marginal_tail_order(marginals_to(p, 40), 6, 1e-9) == 40
+        assert _marginal_tail_order(summed_tails(p, 40), 6, 3e-11) == 40
+        with pytest.raises(TruncationError):
+            _marginal_tail_order(summed_tails(p, 39), 6, 3e-11)
+
+    def test_smallest_certified_truncation(self):
+        # the default beam at separation 0 first certifies at 26
+        p = scan_position(None, 0.0)
+        tails = summed_tails(p, 40)
+        assert tails[25] >= 0.5 * DEFAULT_TAIL_TOL > tails[26]
+        assert joint_pnd(p, 16).n_max == 26
+
+    def test_tail_tol_below_check_resolution(self):
+        p = scan_position(None, 0.0)
+        with pytest.raises(TruncationError, match="below 1e-12"):
+            joint_pnd(p, 16, tail_tol=1e-13)
+
+    def test_tail_mass_clamped_at_zero(self):
+        # far out on the default beam 1 - sum p rounds below zero
+        p = scan_position(None, 0.0, fixed=6.0)
+        pnd = joint_pnd(p, 16)
+        assert 1.0 - float(pnd.p.sum()) < 0.0
+        assert pnd.tail_mass == 0.0
 
     @pytest.mark.parametrize("separation", [2.0, 0.0], ids=["default", "g1"])
     def test_single_marginal_pass(self, monkeypatch, separation):
@@ -367,13 +403,6 @@ class TestJointPnd:
         assert len(calls) == 2
         for got, want in zip(pnd.marginals, marginals_to(p, pnd.n_max)):
             assert np.array_equal(got, want)
-
-    def test_degeneracy_checked_before_truncation(self):
-        # the cap is far too small for this beam, yet the inconsistent g = 1
-        # amplitudes are the error reported
-        p = TwoPointParams(n1=0.5, n2=2.0, g=1.0, mu1=1.0 + 0j, mu2=1.0 + 0j)
-        with pytest.raises(DegeneracyError):
-            joint_pnd(p, 4, tail_tol=1e-20)
 
 
 class TestWavepacketG2:

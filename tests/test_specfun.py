@@ -12,7 +12,6 @@ from qgs.specfun import (
     MomentParams,
     gaussian_moment,
     hyp1f1,
-    quadrature_moment,
 )
 
 from oracles import quad_gaussian_moment, series_hyp1f1
@@ -105,30 +104,10 @@ class TestGaussianMoment:
     def test_oracle_equivalence_grid(self, a, b):
         for n in range(13):
             closed = gaussian_moment(MomentParams(a, b, n))
-            quad = quadrature_moment(MomentParams(a, b, n))
+            quad, err = quad_gaussian_moment(a, b, n)
+            assert err <= 1e-10 * (1.0 + abs(quad))
             if closed == 0.0:
                 assert abs(quad) < 1e-12
             else:
                 assert quad == pytest.approx(closed, rel=1e-8)
 
-
-class TestQuadratureMoment:
-    def test_trivials(self):
-        assert quadrature_moment(MomentParams(1.0, 0.0, 2)) == pytest.approx(
-            math.sqrt(math.pi) / 2.0, rel=1e-10
-        )
-        assert quadrature_moment(MomentParams(1.0, 0.0, 0)) == pytest.approx(
-            math.sqrt(math.pi), rel=1e-10
-        )
-
-    def test_frozen_self_check(self):
-        # same quadrature at tightened tolerance serves as its own check
-        loose = quadrature_moment(MomentParams(0.5, -1.0, 4))
-        tight, err = quad_gaussian_moment(0.5, -1.0, 4, epsabs=1e-15)
-        assert err < 1e-13 * (1 + abs(tight))
-        assert loose == pytest.approx(41.32731354122493, rel=1e-10)
-        assert loose == pytest.approx(tight, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            quadrature_moment(MomentParams(-2.0, 0.0, 2))
