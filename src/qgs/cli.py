@@ -188,6 +188,8 @@ def _cmd_validate(args) -> int:
             n, m, delta = (int(v) for v in args.perturb_cell.split(","))
         except ValueError as exc:
             raise ConfigError("--perturb-cell expects N,M,delta") from exc
+        if n < 0 or m < 0:
+            raise ConfigError(f"--perturb-cell indices must be nonnegative, got ({n}, {m})")
         perturb = (n, m, delta)
     report_path = args.report or "validate_report.json"
     check_writable(report_path)

@@ -85,6 +85,12 @@ class ScanConfig:
                 raise ConfigError(f"pair {pair} exceeds n_max = {self.n_max}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
+        # validate seeds separation i with seed + i
+        last_seed = self.mc.seed + len(validation_separations(self)) - 1
+        if not (0 <= self.mc.seed and last_seed < 2**64):
+            raise ConfigError(
+                f"seed must lie in [0, 2**64) at every validation separation, got {self.mc.seed}"
+            )
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,44 @@ def test_perturbed_validation_fails(tmp_path):
     report = tmp_path / "report.json"
     argv = ["validate", "--samples", "200000", "--perturb-cell", "3,3,20000"]
     assert main(argv + ["--report", str(report)]) == 1
-    assert report.exists()
+    doc = json.loads(report.read_text())
+    cells = [c for r in doc["results"] for c in r["report"]["failing_cells"]]
+    perturbed = [c for c in cells if c[:2] == [3, 3]]
+    assert perturbed
+    for n, m, z, expected, observed in perturbed:
+        assert isinstance(observed, int)
+        assert observed - expected > 19000
+
+
+def test_validate_report_independent_of_workers(tmp_path):
+    reports = []
+    for workers in ("1", "2"):
+        report = tmp_path / f"report-{workers}.json"
+        argv = ["validate", "--samples", "200000", "--workers", workers]
+        assert main(argv + ["--report", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", str(2**64 - 1)],
+        ["--seed", str(2**64 - 2)],  # seed + 2 at the third separation
+        ["--seed", "-1"],
+        ["--perturb-cell=-3,3,20000"],
+        ["--perturb-cell=3,-3,20000"],
+    ],
+    ids=["seed-max", "seed-last-separation", "seed-negative", "perturb-row", "perturb-column"],
+)
+def test_bad_validate_input_rejected_before_sampling(tmp_path, monkeypatch, flags):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before checking the input")
+
+    monkeypatch.setattr("qgs.scan.empirical_pnd", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--samples", "1000", *flags]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def run_fresh(code):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from qgs.errors import ConfigError
 from qgs.fock_stats import classical_g2_closed
 from qgs.scan import (
     MCSettings,
@@ -31,6 +32,15 @@ def test_config_round_trip():
     cfg = replace(cfg, profile=replace(cfg.profile, mu_peak=0.3 - 0.7j))
     assert config_from_dict(config_to_dict(cfg)) == cfg
     assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+
+def test_seed_range_covers_every_validation_separation():
+    # separation i is sampled with seed + i, and every seed must fit in 64 bits
+    assert default_config(mc=MCSettings(seed=2**64 - 3)).mc.seed == 2**64 - 3
+    one = default_config(mc=MCSettings(seed=2**64 - 2), validate_separations=(1.0,))
+    assert one.mc.seed == 2**64 - 2
+    with pytest.raises(ConfigError):
+        default_config(mc=MCSettings(seed=2**64 - 2))
 
 
 def test_rows_independent_of_workers():
