@@ -9,10 +9,6 @@ class DomainError(QgsError, ValueError):
     """An argument lies outside the supported domain of an operation."""
 
 
-class DegeneracyError(QgsError):
-    """The covariance is degenerate (g = 1) where a density is required."""
-
-
 class CertificationError(QgsError):
     """A numerical result cannot be certified to the required accuracy."""
 

@@ -22,15 +22,6 @@ all three are 2x2 closed forms:
 
 No inverse of C appears, so g = 1 and nbar -> 0 are ordinary inputs.
 
-rho_element follows the multidimensional-Hermite recurrence (Miatto &
-Quesada, Quantum 4, 366 (2020))
-
-    G[k + e_i] = (b_i G[k] + sum_j A_ij sqrt(k_j) G[k - e_j]) / sqrt(k_i + 1).
-
-The alpha-alpha and conj-conj blocks of A are exactly zero, so a step in
-N reads only the slab at N: the table is streamed one (n+1)^3 slab
-G[N, :, :, :] at a time.
-
 The joint distribution p(N, M) = G[N, M, N, M] needs only the (n+1)^2
 diagonal.  With B = A[:2, 2:], b_a = b[:2], b_c = b[2:] and
 Z = diag(z1, z2), its count generating function (Mandel's photodetection
@@ -61,24 +52,19 @@ PrecisionLossError when one fails.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    CertificationError,
-    DegeneracyError,
     DomainError,
     InsufficientCountsError,
     PrecisionLossError,
     TruncationError,
 )
-from .source_model import TwoPointParams, mean_cov
+from .source_model import TwoPointParams
 
-# rho_element's bound on N + M + K + L
-MAX_ORDER = 64
 DEFAULT_TAIL_TOL = 1e-6
 DEFAULT_MARGINAL_FLOOR = 1e-12
 # joint_pnd's truncation lookup reaches up to max(HARD_CAP, n_max)
@@ -88,24 +74,6 @@ HARD_CAP = 40
 # also the smallest tail_tol joint_pnd accepts: the normalization check
 # cannot tell a smaller tail from roundoff.
 _CHECK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FockIndex:
-    """Index (N, M, K, L) of the projector |N,M><K,L|."""
-
-    N: int
-    M: int
-    K: int
-    L: int
-
-    def __post_init__(self) -> None:
-        if min(self.N, self.M, self.K, self.L) < 0:
-            raise DomainError("Fock indices must be nonnegative")
-
-    @property
-    def order(self) -> int:
-        return self.N + self.M + self.K + self.L
 
 
 @dataclass(frozen=True)
@@ -144,34 +112,6 @@ def _gaussian_form(p: TwoPointParams):
     b = np.concatenate([s @ m, s @ m.conj()])
     c = -float((m.conj() @ s @ m).real) - math.log(det)
     return A, b, c
-
-
-def _raise_index(t: np.ndarray, bi: complex, a_k: float, a_l: float, sq: np.ndarray):
-    """One recurrence step along an unconjugated axis, before the 1/sqrt(k_i + 1).
-
-    t is indexed [..., K, L]; a_k and a_l are the couplings of that axis
-    to the K and L axes, the only nonzero entries of its row of A.
-    """
-    out = bi * t
-    out[..., 1:, :] += a_k * sq[1:, None] * t[..., :-1, :]
-    out[..., :, 1:] += a_l * sq[1:] * t[..., :, :-1]
-    return out
-
-
-def _slabs(A: np.ndarray, b: np.ndarray, n: int):
-    """Yield G[N, :, :, :] / exp(c) for N = 0 .. n, each indexed [M, K, L] up to n."""
-    sq = np.sqrt(np.arange(n + 1))
-    ones = np.ones(1, dtype=complex)
-    row_k = np.cumprod(np.concatenate([ones, b[2] / sq[1:]]))
-    row_l = np.cumprod(np.concatenate([ones, b[3] / sq[1:]]))
-    slab = np.empty((n + 1,) * 3, dtype=complex)
-    slab[0] = np.outer(row_k, row_l)
-    for m in range(n):
-        slab[m + 1] = _raise_index(slab[m], b[1], A[1, 2], A[1, 3], sq) / sq[m + 1]
-    yield slab
-    for N in range(n):
-        slab = _raise_index(slab, b[0], A[0, 2], A[0, 3], sq) / sq[N + 1]
-        yield slab
 
 
 def _binomial_thinning(x: float, n: int) -> np.ndarray:
@@ -229,74 +169,6 @@ def moment_ladder(A: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
     return _binomial_thinning(A[0, 2], n_max) @ h @ _binomial_thinning(A[1, 3], n_max).T
 
 
-def rho_element(p: TwoPointParams, idx: FockIndex) -> complex:
-    """Density-matrix element <N,M|rho|K,L> from the Gaussian recurrence.
-
-    Diagonal elements (N = K, M = L) are the joint photon-number
-    probabilities, real and nonnegative up to roundoff.
-    """
-    if idx.order > MAX_ORDER:
-        raise DomainError(f"index order {idx.order} exceeds the maximum {MAX_ORDER}")
-    A, b, c = _gaussian_form(p)
-    n = max(idx.N, idx.M, idx.K, idx.L)
-    slab = next(itertools.islice(_slabs(A, b, n), idx.N, None))
-    return complex(math.exp(c) * slab[idx.M, idx.K, idx.L])
-
-
-def rho_element_quadrature(p: TwoPointParams, idx: FockIndex) -> complex:
-    """Direct tensor-product quadrature of the matrix-element integral.
-
-    Independent numerical oracle: brings the Gaussian weight of the
-    4-dimensional field integral to standard form and applies a
-    Gauss-Hermite grid that is exact for the polynomial part.  Certified
-    by node refinement.
-    """
-    if p.is_degenerate:
-        raise DegeneracyError("quadrature oracle requires g < 1")
-    N, M, K, L = idx.N, idx.M, idx.K, idx.L
-    if idx.order > 20:
-        raise DomainError("quadrature oracle supports N+M+K+L <= 20")
-    nodes = max(10, (idx.order + 2) // 2 + 4)
-
-    mc = mean_cov(p)
-    mu, gamma = mc.mu, mc.gamma
-
-    def evaluate(nq: int) -> complex:
-        gi = np.linalg.inv(gamma)
-        a_mat = gi + 2.0 * np.eye(4)
-        m = np.linalg.solve(a_mat, gi @ mu)
-        c0 = 0.5 * m @ a_mat @ m - 0.5 * mu @ gi @ mu
-        chol = np.linalg.cholesky(a_mat)
-        b_mat = math.sqrt(2.0) * np.linalg.inv(chol).T
-        t, wt = np.polynomial.hermite.hermgauss(nq)
-        grid = np.stack(np.meshgrid(t, t, t, t, indexing="ij"), axis=-1).reshape(-1, 4)
-        weights = (
-            wt[:, None, None, None]
-            * wt[None, :, None, None]
-            * wt[None, None, :, None]
-            * wt[None, None, None, :]
-        ).reshape(-1)
-        r = m + grid @ b_mat.T
-        alpha = r[:, 0] + 1j * r[:, 1]
-        beta = r[:, 2] + 1j * r[:, 3]
-        poly = alpha**N * np.conj(alpha) ** K * beta**M * np.conj(beta) ** L
-        pref = (
-            math.exp(c0)
-            * abs(np.linalg.det(b_mat))
-            / (4.0 * math.pi**2 * math.sqrt(np.linalg.det(gamma)))
-        )
-        scale = math.exp(
-            -0.5
-            * (math.lgamma(N + 1) + math.lgamma(M + 1) + math.lgamma(K + 1) + math.lgamma(L + 1))
-        )
-        return pref * scale * complex(np.sum(weights * poly))
-
-    val, ref = evaluate(nodes), evaluate(nodes + 4)
-    if abs(val - ref) > 1e-8 * (1.0 + abs(ref)):
-        raise CertificationError(f"quadrature for {idx} did not converge: {val} vs {ref}")
-    return ref
-
-
 def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:
     """Photon-number distribution of one coherent + thermal mode.
 
@@ -315,9 +187,10 @@ def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:
         raise DomainError(f"nbar must be nonnegative, got {nbar}")
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    m2 = abs(mu) ** 2
+    # products, not ** 2: a huge beam goes to inf rather than raise OverflowError
+    m2 = abs(mu) * abs(mu)
     r = nbar / (1.0 + nbar)
-    y = m2 / (1.0 + nbar) ** 2
+    y = m2 / ((1.0 + nbar) * (1.0 + nbar))
     q = [0.0, math.exp(-m2 / (1.0 + nbar)) / (1.0 + nbar)]
     for n in range(n_max):
         q.append((((2 * n + 1) * r + y) * q[-1] - n * r * r * q[-2]) / (n + 1))

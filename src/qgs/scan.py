@@ -69,6 +69,9 @@ class ScanConfig:
     output_path: str = "scan.csv"
 
     def __post_init__(self) -> None:
+        positions = (self.fixed_position, self.scan_min, self.scan_max)
+        if not all(map(math.isfinite, positions + (self.validate_separations or ()))):
+            raise ConfigError("positions and separations must be finite")
         if not self.scan_min < self.scan_max:
             raise ConfigError("scan_min must be below scan_max")
         if self.steps < 2:
@@ -178,7 +181,7 @@ def fit_g2_zero(target: float, profile: BeamProfile) -> BeamProfile:
     """
     if not (1.0 < target < 2.0):
         raise DomainError(f"target must lie strictly inside (1, 2), got {target}")
-    mu2 = abs(profile.mu_peak) ** 2
+    mu2 = abs(profile.mu_peak) * abs(profile.mu_peak)
     if mu2 <= 0:
         raise DomainError("fit requires a nonzero coherent amplitude")
     f = 1.0 - math.sqrt(2.0 - target)

@@ -4,17 +4,15 @@ A beam is a statistically independent superposition of a coherent field
 and a thermal (Gaussian-Schell) field, both with Gaussian transverse
 profiles.  Reducing it to two detector positions leaves five numbers:
 the mean thermal photon numbers n1, n2, the degree of coherence g, and
-the coherent amplitudes mu1, mu2.  The real and imaginary field
-components at the two points then form a real Gaussian 4-vector whose
-mean and covariance are assembled here.
+the coherent amplitudes mu1, mu2, which fix the complex Gaussian law of
+the field amplitudes (alpha, beta) at the two points.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -29,8 +27,14 @@ class BeamProfile:
 
     n_peak   : peak mean thermal photon number per detection mode
     mu_peak  : peak coherent amplitude (complex; constant phase across the beam)
-    sigma0   : intensity-profile width parameter (length squared)
+    sigma0   : envelope width parameter (length squared)
     sigma1   : coherence width parameter (length squared)
+
+    profile_at scales the thermal intensity n and the coherent amplitude mu
+    by the same envelope exp(-s^2 / sigma0).  The thermal intensity thus
+    falls as exp(-s^2 / sigma0) but the coherent intensity |mu|^2 as
+    exp(-2 s^2 / sigma0): sigma0 is the width of the thermal intensity
+    profile only.  n_peak and mu_peak must be finite.
     """
 
     n_peak: float
@@ -39,8 +43,10 @@ class BeamProfile:
     sigma1: float
 
     def __post_init__(self) -> None:
-        if not (self.n_peak > 0):
-            raise DomainError(f"n_peak must be positive, got {self.n_peak}")
+        if not (0 < self.n_peak < math.inf):
+            raise DomainError(f"n_peak must be positive and finite, got {self.n_peak}")
+        if not cmath.isfinite(self.mu_peak):
+            raise DomainError(f"mu_peak must be finite, got {self.mu_peak}")
         if not (self.sigma0 > 0 and self.sigma1 > 0):
             raise DomainError("sigma0 and sigma1 must be positive")
 
@@ -67,15 +73,6 @@ class TwoPointParams:
         return self.g >= 1.0 - DEGENERACY_TOL
 
 
-@dataclass(frozen=True)
-class MeanCov:
-    """Mean 4-vector and 4x4 covariance of (Re a, Im a, Re b, Im b)."""
-
-    mu: np.ndarray
-    gamma: np.ndarray
-    degenerate: bool = False
-
-
 def profile_at(profile: BeamProfile, s: float):
     """Mean photon number and coherent amplitude at transverse position s."""
     envelope = math.exp(-s * s / profile.sigma0)
@@ -93,23 +90,4 @@ def two_point_params(profile: BeamProfile, s1: float, s2: float) -> TwoPointPara
     n1, mu1 = profile_at(profile, s1)
     n2, mu2 = profile_at(profile, s2)
     return TwoPointParams(n1=n1, n2=n2, g=degree_of_coherence(profile, s1, s2), mu1=mu1, mu2=mu2)
-
-
-def mean_cov(p: TwoPointParams) -> MeanCov:
-    """Mean vector and covariance matrix of the real field components.
-
-    Each quadrature carries half the thermal photon number; cross
-    correlations couple like quadratures only, with weight g sqrt(n1 n2)/2.
-    """
-    gb = p.g * math.sqrt(p.n1 * p.n2)
-    gamma = 0.5 * np.array(
-        [
-            [p.n1, 0.0, gb, 0.0],
-            [0.0, p.n1, 0.0, gb],
-            [gb, 0.0, p.n2, 0.0],
-            [0.0, gb, 0.0, p.n2],
-        ]
-    )
-    mu = np.array([p.mu1.real, p.mu1.imag, p.mu2.real, p.mu2.imag])
-    return MeanCov(mu=mu, gamma=gamma, degenerate=p.is_degenerate)
 

@@ -1,17 +1,44 @@
-"""Independent brute-force oracles used to freeze and check expected values.
+"""Independent oracles used to freeze and check expected values.
 
-Nothing here shares code with the package paths under test: the series
-oracle sums Kummer terms directly in 50-digit arithmetic, and the moment
-and element oracles integrate numerically.
+The series oracle sums Kummer terms in 50-digit arithmetic; the moment,
+single-mode element and quadrature oracles integrate numerically.  None
+of them shares arithmetic with the package: the quadrature builds its own
+real mean and covariance (mean_cov) and reads only the fields of
+TwoPointParams.
+
+The Hermite slab stream behind rho_element does share its inputs: it
+takes the generating-function coefficients A and b from
+qgs.fock_stats._gaussian_form, the ones moment_ladder expands.  It checks
+the ladder's recurrence, not the Gaussian form; the quadrature and the
+Monte Carlo routes check that.
+
+rho_element follows the multidimensional-Hermite recurrence (Miatto &
+Quesada, Quantum 4, 366 (2020)) for the Taylor coefficients G of the
+generating function in the qgs.fock_stats docstring,
+
+    G[k + e_i] = (b_i G[k] + sum_j A_ij sqrt(k_j) G[k - e_j]) / sqrt(k_i + 1).
+
+The alpha-alpha and conj-conj blocks of A are exactly zero, so a step in
+N reads only the slab at N: the table is streamed one (n+1)^3 slab
+G[N, :, :, :] at a time.
 """
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy import integrate
 
+from qgs.errors import CertificationError, DomainError
+from qgs.fock_stats import _gaussian_form
+from qgs.source_model import TwoPointParams
+
 mp.mp.dps = 50
+
+# rho_element's bound on N + M + K + L
+MAX_ORDER = 64
 
 
 def series_hyp1f1(a, b, z, terms=200):
@@ -70,3 +97,146 @@ def dblquad_single_mode_element(nbar, mu, N, K):
         return val
 
     return norm * complex(part(lambda v: v.real), part(lambda v: v.imag))
+
+
+@dataclass(frozen=True)
+class MeanCov:
+    """Mean 4-vector and 4x4 covariance of (Re a, Im a, Re b, Im b)."""
+
+    mu: np.ndarray
+    gamma: np.ndarray
+    degenerate: bool = False
+
+
+def mean_cov(p: TwoPointParams) -> MeanCov:
+    """Mean vector and covariance matrix of the real field components.
+
+    Each quadrature carries half the thermal photon number; cross
+    correlations couple like quadratures only, with weight g sqrt(n1 n2)/2.
+    """
+    gb = p.g * math.sqrt(p.n1 * p.n2)
+    gamma = 0.5 * np.array(
+        [
+            [p.n1, 0.0, gb, 0.0],
+            [0.0, p.n1, 0.0, gb],
+            [gb, 0.0, p.n2, 0.0],
+            [0.0, gb, 0.0, p.n2],
+        ]
+    )
+    mu = np.array([p.mu1.real, p.mu1.imag, p.mu2.real, p.mu2.imag])
+    return MeanCov(mu=mu, gamma=gamma, degenerate=p.is_degenerate)
+
+
+@dataclass(frozen=True)
+class FockIndex:
+    """Index (N, M, K, L) of the projector |N,M><K,L|."""
+
+    N: int
+    M: int
+    K: int
+    L: int
+
+    def __post_init__(self) -> None:
+        if min(self.N, self.M, self.K, self.L) < 0:
+            raise DomainError("Fock indices must be nonnegative")
+
+    @property
+    def order(self) -> int:
+        return self.N + self.M + self.K + self.L
+
+
+def _raise_index(t: np.ndarray, bi: complex, a_k: float, a_l: float, sq: np.ndarray):
+    """One recurrence step along an unconjugated axis, before the 1/sqrt(k_i + 1).
+
+    t is indexed [..., K, L]; a_k and a_l are the couplings of that axis
+    to the K and L axes, the only nonzero entries of its row of A.
+    """
+    out = bi * t
+    out[..., 1:, :] += a_k * sq[1:, None] * t[..., :-1, :]
+    out[..., :, 1:] += a_l * sq[1:] * t[..., :, :-1]
+    return out
+
+
+def _slabs(A: np.ndarray, b: np.ndarray, n: int):
+    """Yield G[N, :, :, :] / exp(c) for N = 0 .. n, each indexed [M, K, L] up to n."""
+    sq = np.sqrt(np.arange(n + 1))
+    ones = np.ones(1, dtype=complex)
+    row_k = np.cumprod(np.concatenate([ones, b[2] / sq[1:]]))
+    row_l = np.cumprod(np.concatenate([ones, b[3] / sq[1:]]))
+    slab = np.empty((n + 1,) * 3, dtype=complex)
+    slab[0] = np.outer(row_k, row_l)
+    for m in range(n):
+        slab[m + 1] = _raise_index(slab[m], b[1], A[1, 2], A[1, 3], sq) / sq[m + 1]
+    yield slab
+    for N in range(n):
+        slab = _raise_index(slab, b[0], A[0, 2], A[0, 3], sq) / sq[N + 1]
+        yield slab
+
+
+def rho_element(p: TwoPointParams, idx: FockIndex) -> complex:
+    """Density-matrix element <N,M|rho|K,L> from the Gaussian recurrence.
+
+    Diagonal elements (N = K, M = L) are the joint photon-number
+    probabilities, real and nonnegative up to roundoff.
+    """
+    if idx.order > MAX_ORDER:
+        raise DomainError(f"index order {idx.order} exceeds the maximum {MAX_ORDER}")
+    A, b, c = _gaussian_form(p)
+    n = max(idx.N, idx.M, idx.K, idx.L)
+    slab = next(itertools.islice(_slabs(A, b, n), idx.N, None))
+    return complex(math.exp(c) * slab[idx.M, idx.K, idx.L])
+
+
+def rho_element_quadrature(p: TwoPointParams, idx: FockIndex) -> complex:
+    """Direct tensor-product quadrature of the matrix-element integral.
+
+    Independent numerical oracle: brings the Gaussian weight of the
+    4-dimensional field integral to standard form and applies a
+    Gauss-Hermite grid that is exact for the polynomial part.  Certified
+    by node refinement.  At g = 1 the covariance is singular and there is
+    no density to integrate, so it raises DomainError.
+    """
+    if p.is_degenerate:
+        raise DomainError("quadrature oracle requires g < 1")
+    N, M, K, L = idx.N, idx.M, idx.K, idx.L
+    if idx.order > 20:
+        raise DomainError("quadrature oracle supports N+M+K+L <= 20")
+    nodes = max(10, (idx.order + 2) // 2 + 4)
+
+    mc = mean_cov(p)
+    mu, gamma = mc.mu, mc.gamma
+
+    def evaluate(nq: int) -> complex:
+        gi = np.linalg.inv(gamma)
+        a_mat = gi + 2.0 * np.eye(4)
+        m = np.linalg.solve(a_mat, gi @ mu)
+        c0 = 0.5 * m @ a_mat @ m - 0.5 * mu @ gi @ mu
+        chol = np.linalg.cholesky(a_mat)
+        b_mat = math.sqrt(2.0) * np.linalg.inv(chol).T
+        t, wt = np.polynomial.hermite.hermgauss(nq)
+        grid = np.stack(np.meshgrid(t, t, t, t, indexing="ij"), axis=-1).reshape(-1, 4)
+        weights = (
+            wt[:, None, None, None]
+            * wt[None, :, None, None]
+            * wt[None, None, :, None]
+            * wt[None, None, None, :]
+        ).reshape(-1)
+        r = m + grid @ b_mat.T
+        alpha = r[:, 0] + 1j * r[:, 1]
+        beta = r[:, 2] + 1j * r[:, 3]
+        poly = alpha**N * np.conj(alpha) ** K * beta**M * np.conj(beta) ** L
+        pref = (
+            math.exp(c0)
+            * abs(np.linalg.det(b_mat))
+            / (4.0 * math.pi**2 * math.sqrt(np.linalg.det(gamma)))
+        )
+        scale = math.exp(
+            -0.5
+            * (math.lgamma(N + 1) + math.lgamma(M + 1) + math.lgamma(K + 1) + math.lgamma(L + 1))
+        )
+        return pref * scale * complex(np.sum(weights * poly))
+
+    val, ref = evaluate(nodes), evaluate(nodes + 4)
+    if abs(val - ref) > 1e-8 * (1.0 + abs(ref)):
+        raise CertificationError(f"quadrature for {idx} did not converge: {val} vs {ref}")
+    return ref

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,12 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         ["scan", "--steps", "3", "--workers", "-3"],
         ["validate", "--samples", "0"],
         ["scan", "--steps", "3", "--tail-tol", "-1"],
+        ["scan", "--steps", "3", "--n-peak", "inf"],
+        ["scan", "--steps", "3", "--mu-peak", "nan"],
+        ["pnd", "--separation", "1", "--mu-peak", "inf"],
+        ["scan", "--steps", "3", "--scan-max", "inf"],
+        ["validate", "--samples", "1000", "--scan-min=-inf"],
+        ["scan", "--steps", "3", "--fixed-position", "nan"],
     ],
     ids=[
         "mu-peak",
@@ -55,12 +62,52 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         "workers-negative",
         "samples-zero",
         "tail-tol-negative",
+        "n-peak-inf",
+        "mu-peak-nan",
+        "mu-peak-inf",
+        "scan-max-inf",
+        "scan-min-inf",
+        "fixed-position-nan",
     ],
 )
 def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["scan", "--steps", "3", "--n-peak", "1e300"], 3, "24 rows failed"),
+        (["scan", "--steps", "3", "--mu-peak", "1e200"], 3, "24 rows failed"),
+        (["pnd", "--separation", "1", "--n-peak", "1e300"], 3, "not reachable"),
+        (["pnd", "--separation", "1", "--mu-peak", "1e200"], 3, "not reachable"),
+        (["validate", "--samples", "1000", "--n-peak", "1e300"], 3, "not reachable"),
+        (["validate", "--samples", "1000", "--mu-peak", "1e200"], 3, "not reachable"),
+        # the fitted n_peak overflows to inf
+        (["fit-g2", "--target", "1.5", "--mu-peak", "1e200"], 2, "n_peak must be"),
+        (["fit-g2", "--target", "1.5", "--mu-peak", "nan"], 2, "mu_peak must be finite"),
+    ],
+    ids=[
+        "scan-n-peak",
+        "scan-mu-peak",
+        "pnd-n-peak",
+        "pnd-mu-peak",
+        "validate-n-peak",
+        "validate-mu-peak",
+        "fit-mu-peak",
+        "fit-mu-peak-nan",
+    ],
+)
+def test_extreme_beam_fails_typed(tmp_path, monkeypatch, capsys, argv, code, message):
+    # squaring a huge beam overflows a Python float; the failure must be a
+    # typed exit that names its cause, not an OverflowError or a RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == code
+    assert message in capsys.readouterr().err
 
 
 def test_dim_beam_rows_flag_marginal_floor(tmp_path):

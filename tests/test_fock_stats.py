@@ -14,16 +14,12 @@ from qgs.errors import (
 )
 from qgs.fock_stats import (
     DEFAULT_TAIL_TOL,
-    FockIndex,
     _gaussian_form,
     _marginal_tail_order,
-    _slabs,
     classical_g2,
     classical_g2_closed,
     joint_pnd,
     moment_ladder,
-    rho_element,
-    rho_element_quadrature,
     single_mode_pnd,
     wavepacket_g2,
 )
@@ -31,7 +27,13 @@ from qgs.mc_oracle import SamplerConfig, empirical_pnd
 from qgs.scan import default_profile
 from qgs.source_model import TwoPointParams, two_point_params
 
-from oracles import dblquad_single_mode_element
+from oracles import (
+    FockIndex,
+    _slabs,
+    dblquad_single_mode_element,
+    rho_element,
+    rho_element_quadrature,
+)
 
 
 def split_thermal(n1, n2, n_max):

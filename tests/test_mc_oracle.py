@@ -7,7 +7,9 @@ import pytest
 
 from qgs.mc_oracle import SamplerConfig, _block_fields, _block_rng, empirical_pnd
 from qgs.scan import default_config
-from qgs.source_model import TwoPointParams, mean_cov, two_point_params
+from qgs.source_model import TwoPointParams, two_point_params
+
+from oracles import mean_cov
 
 
 @pytest.mark.parametrize("g", [0.0, 0.5, 0.9, 0.999])

@@ -43,6 +43,12 @@ def test_seed_range_covers_every_validation_separation():
         default_config(mc=MCSettings(seed=2**64 - 2))
 
 
+def test_non_finite_validation_separation_rejected():
+    # no CLI flag sets validate_separations; a config file can
+    with pytest.raises(ConfigError):
+        default_config(validate_separations=(0.0, float("inf")))
+
+
 def test_rows_independent_of_workers():
     cfg = default_config(steps=3)
     rows = run_scan(cfg, n_workers=1)

@@ -10,10 +10,11 @@ from qgs.source_model import (
     BeamProfile,
     TwoPointParams,
     degree_of_coherence,
-    mean_cov,
     profile_at,
     two_point_params,
 )
+
+from oracles import mean_cov
 
 
 @pytest.fixture
@@ -36,6 +37,8 @@ class TestProfile:
         prof = BeamProfile(n_peak=1.0, mu_peak=1e-12 + 0j, sigma0=4.0, sigma1=1.0)
         n, mu = profile_at(prof, 2.0)
         assert n == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0)
+        # mu takes n's envelope, so the coherent intensity |mu|^2 falls as exp(-2)
+        assert mu == pytest.approx(1e-12 * math.exp(-1.0), rel=1e-14, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
