@@ -2,7 +2,8 @@
 
 Subcommands:
   scan      separation scan, emits CSV/JSON rows
-  validate  analytic-versus-Monte-Carlo comparison, writes a report
+  validate  analytic-versus-Monte-Carlo comparison, writes a report;
+            the gates are mc_oracle.compare's
   fit-g2    rescale the beam to a target zero-separation correlation
   pnd       dump the joint photon-number distribution at one separation
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -151,10 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", dest="n_samples", type=int, help="Monte Carlo samples per separation"
     )
     p_val.add_argument("--report", help="path for the JSON report")
-    p_val.add_argument(
-        "--perturb-cell",
-        help="test hook: N,M,delta moves delta counts into cell (N, M)",
-    )
 
     p_fit = sub.add_parser("fit-g2", help="fit n_peak to a target g2(0)")
     _add_common(p_fit)
@@ -182,18 +180,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
-    perturb = None
-    if args.perturb_cell:
-        try:
-            n, m, delta = (int(v) for v in args.perturb_cell.split(","))
-        except ValueError as exc:
-            raise ConfigError("--perturb-cell expects N,M,delta") from exc
-        if n < 0 or m < 0:
-            raise ConfigError(f"--perturb-cell indices must be nonnegative, got ({n}, {m})")
-        perturb = (n, m, delta)
     report_path = args.report or "validate_report.json"
     check_writable(report_path)
-    passed, doc = validate(cfg, perturb=perturb)
+    doc = validate(cfg)
     write_output(report_path, json.dumps(doc, indent=2) + "\n")
     for res in doc["results"]:
         rep = res["report"]
@@ -208,7 +197,7 @@ def _cmd_validate(args) -> int:
             )
         )
     print(f"report written to {report_path}")
-    return EXIT_OK if passed else EXIT_VALIDATION
+    return EXIT_OK if doc["passed"] else EXIT_VALIDATION
 
 
 def _cmd_fit_g2(args) -> int:
@@ -220,6 +209,8 @@ def _cmd_fit_g2(args) -> int:
 
 def _cmd_pnd(args) -> int:
     cfg = _load_config(args)
+    if not math.isfinite(args.separation):
+        raise ConfigError(f"separation must be finite, got {args.separation}")
     params = two_point_params(
         cfg.profile, cfg.fixed_position, cfg.fixed_position + args.separation
     )

@@ -66,7 +66,10 @@ from .errors import (
 from .source_model import TwoPointParams
 
 DEFAULT_TAIL_TOL = 1e-6
-DEFAULT_MARGINAL_FLOOR = 1e-12
+# wavepacket_g2 keeps high-photon-number rows defined at large
+# separations, where the exact marginals are far below any fixed absolute
+# floor but the positive-sum evaluation is still relatively accurate.
+_MARGINAL_FLOOR = 1e-300
 # joint_pnd's truncation lookup reaches up to max(HARD_CAP, n_max)
 HARD_CAP = 40
 # absolute slack of the after-the-fact checks on p(N, M); roundoff in the
@@ -280,9 +283,7 @@ def joint_pnd(
     return JointPND(n_max=n_eff, p=mat, tail_mass=tail, params=p, marginals=marginals)
 
 
-def wavepacket_g2(
-    pnd: JointPND, N: int, M: int, marginal_floor: float = DEFAULT_MARGINAL_FLOOR
-) -> float:
+def wavepacket_g2(pnd: JointPND, N: int, M: int) -> float:
     """Correlation of N-photon wavepackets at detector 1 with M-photon at 2.
 
     p(N, M) normalized by the product of the marginal wavepacket
@@ -290,7 +291,7 @@ def wavepacket_g2(
     every g (g = 1 included), so they are read from pnd.marginals, the
     closed form single_mode_pnd that joint_pnd evaluated, rather than from
     row and column sums of the truncated matrix, which fall short of the
-    true marginals by the tail mass.  A marginal below marginal_floor, or
+    true marginals by the tail mass.  A marginal below _MARGINAL_FLOOR, or
     a product of the two that underflows to 0, raises
     InsufficientCountsError.
     """
@@ -298,9 +299,9 @@ def wavepacket_g2(
         raise DomainError(f"pair ({N}, {M}) outside truncation n_max = {pnd.n_max}")
     row = float(pnd.marginals[0][N])
     col = float(pnd.marginals[1][M])
-    if row < marginal_floor or col < marginal_floor:
+    if row < _MARGINAL_FLOOR or col < _MARGINAL_FLOOR:
         raise InsufficientCountsError(
-            f"marginal probability below floor {marginal_floor:g} for pair ({N}, {M})"
+            f"marginal probability below floor {_MARGINAL_FLOOR:g} for pair ({N}, {M})"
         )
     denom = row * col
     if denom == 0.0:

@@ -12,6 +12,9 @@ owning an SFC64 stream seeded by SeedSequence([master seed, block
 index]).  Workers are assigned whole blocks, so results are bit-for-bit
 identical for any worker count.
 
+compare holds every gate of the analytic-versus-counts verdict as a
+module constant; the total-variation gate scales with the sample count.
+
 Each block works on four contiguous real rows: standard normals drawn as
 one (4, count) array are turned in place into (Re alpha, Im alpha,
 Re beta, Im beta), and the Poisson means are sums of squared rows.  The
@@ -21,7 +24,7 @@ count histogram masks overflowing draws only in a block that has one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,24 +38,9 @@ _MIN_MARGINAL_COUNTS = 100  # empirical_g2's floor on row-N and column-M counts
 _Z_THRESHOLD = 4.0
 _MIN_EXPECTED = 25.0
 _MAX_FAIL_FRACTION = 0.005
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Deterministic sampling configuration."""
-
-    params: TwoPointParams
-    n_samples: int
-    seed: int
-    n_workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be at least 1")
-        if self.n_workers < 1:
-            raise DomainError("n_workers must be at least 1")
-        if not (0 <= self.seed < 2**64):
-            raise DomainError("seed must fit in 64 bits")
+# the TV gate at 1e7 samples; the statistical TV noise floor scales as
+# 1/sqrt(samples), and so does the gate
+_TV_GATE_1E7 = 3e-3
 
 
 @dataclass(frozen=True)
@@ -61,7 +49,6 @@ class EmpiricalPND:
 
     counts: np.ndarray
     total: int
-    seed: int
     overflow_count: int
     params: TwoPointParams
 
@@ -86,17 +73,6 @@ class ComparisonReport:
     tv_distance: float
     passed: bool
     failing_cells: tuple = ()  # (N, M, z, expected count, observed count) per failing cell
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cells": self.n_cells,
-            "n_qualifying": self.n_qualifying,
-            "n_failing": self.n_failing,
-            "max_abs_z": self.max_abs_z,
-            "tv_distance": self.tv_distance,
-            "passed": self.passed,
-            "failing_cells": [list(c) for c in self.failing_cells],
-        }
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -160,30 +136,27 @@ def _merge_counts(blocks):
     return out, over
 
 
-def empirical_pnd(cfg: SamplerConfig) -> EmpiricalPND:
+def empirical_pnd(
+    params: TwoPointParams, n_samples: int, seed: int, n_workers: int = 1
+) -> EmpiricalPND:
     """Joint count matrix over n_samples independent field-then-count draws.
 
-    Deterministic for a fixed configuration and invariant under the
-    worker count: workers process disjoint whole blocks and the merge is
-    a commutative matrix addition.
+    Deterministic for a fixed seed and invariant under the worker count:
+    workers process disjoint whole blocks and the merge is a commutative
+    matrix addition.  The caller checks the settings: MCSettings the
+    sample and worker counts, ScanConfig the seed range.
     """
-    tasks = [(cfg.params, cfg.seed, b, c) for b, c in _block_plan(cfg.n_samples)]
-    if cfg.n_workers > 1 and len(tasks) > 1:
+    tasks = [(params, seed, b, c) for b, c in _block_plan(n_samples)]
+    if n_workers > 1 and len(tasks) > 1:
         # imported here: one-worker runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             blocks = list(pool.map(_count_block, tasks, chunksize=4))
     else:
         blocks = [_count_block(t) for t in tasks]
     counts, over = _merge_counts(blocks)
-    return EmpiricalPND(
-        counts=counts,
-        total=cfg.n_samples,
-        seed=cfg.seed,
-        overflow_count=over,
-        params=cfg.params,
-    )
+    return EmpiricalPND(counts=counts, total=n_samples, overflow_count=over, params=params)
 
 
 def empirical_g2(e: EmpiricalPND, N: int, M: int) -> G2Estimate:
@@ -217,13 +190,13 @@ def empirical_g2(e: EmpiricalPND, N: int, M: int) -> G2Estimate:
     return G2Estimate(estimate=est, std_error=se, reliable=reliable)
 
 
-def compare(analytic, empirical: EmpiricalPND, tv_tolerance: float) -> ComparisonReport:
+def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
     """Per-cell z-score and total-variation comparison of the two routes.
 
     Cells with expected count >= _MIN_EXPECTED qualify for the z test; the
-    verdict fails when more than _MAX_FAIL_FRACTION of qualifying cells
-    exceed _Z_THRESHOLD or the total variation distance exceeds
-    tv_tolerance.
+    verdict fails when no cell qualifies, when more than _MAX_FAIL_FRACTION
+    of qualifying cells exceed _Z_THRESHOLD, or when the total variation
+    distance reaches _TV_GATE_1E7 * sqrt(1e7 / total).
     """
     if analytic.params != empirical.params:
         raise DomainError("analytic and empirical distributions use different parameters")
@@ -253,7 +226,8 @@ def compare(analytic, empirical: EmpiricalPND, tv_tolerance: float) -> Compariso
         float(np.sum(np.abs(obs / t - pa))) + abs(emp_out / t - analytic.tail_mass)
     )
 
-    passed = (n_qual > 0) and (n_fail <= _MAX_FAIL_FRACTION * n_qual) and (tv < tv_tolerance)
+    tv_gate = _TV_GATE_1E7 * math.sqrt(1e7 / t)
+    passed = (n_qual > 0) and (n_fail <= _MAX_FAIL_FRACTION * n_qual) and (tv < tv_gate)
     max_z = float(np.max(np.abs(z[qual]))) if n_qual else float("nan")
     return ComparisonReport(
         n_cells=int(pa.size),

@@ -10,14 +10,14 @@ the field amplitudes (alpha, beta) at the two points.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError
 
-# g values above 1 - DEGENERACY_TOL are treated as the exact g = 1 limit,
-# where the covariance is singular and no density exists.
+# g values above 1 - DEGENERACY_TOL set the scan's degenerate-g flag and
+# send the test oracles to their g = 1 branch; the engine itself takes one
+# path for every g.
 DEGENERACY_TOL = 1e-9
 
 
@@ -34,7 +34,7 @@ class BeamProfile:
     by the same envelope exp(-s^2 / sigma0).  The thermal intensity thus
     falls as exp(-s^2 / sigma0) but the coherent intensity |mu|^2 as
     exp(-2 s^2 / sigma0): sigma0 is the width of the thermal intensity
-    profile only.  n_peak and mu_peak must be finite.
+    profile only.  n_peak and the modulus of mu_peak must be finite.
     """
 
     n_peak: float
@@ -45,8 +45,9 @@ class BeamProfile:
     def __post_init__(self) -> None:
         if not (0 < self.n_peak < math.inf):
             raise DomainError(f"n_peak must be positive and finite, got {self.n_peak}")
-        if not cmath.isfinite(self.mu_peak):
-            raise DomainError(f"mu_peak must be finite, got {self.mu_peak}")
+        # hypot, not abs: a modulus beyond the float range is inf, not OverflowError
+        if not math.isfinite(math.hypot(self.mu_peak.real, self.mu_peak.imag)):
+            raise DomainError(f"mu_peak must be finite with a finite modulus, got {self.mu_peak}")
         if not (self.sigma0 > 0 and self.sigma1 > 0):
             raise DomainError("sigma0 and sigma1 must be positive")
 
@@ -89,5 +90,8 @@ def two_point_params(profile: BeamProfile, s1: float, s2: float) -> TwoPointPara
     """Reduce a beam profile to its two-detector parameters."""
     n1, mu1 = profile_at(profile, s1)
     n2, mu2 = profile_at(profile, s2)
+    for s, n in ((s1, n1), (s2, n2)):
+        if n == 0:
+            raise DomainError(f"mean photon number underflows to 0 at position {s:g}")
     return TwoPointParams(n1=n1, n2=n2, g=degree_of_coherence(profile, s1, s2), mu1=mu1, mu2=mu2)
 

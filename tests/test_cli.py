@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qgs.cli import _load_config, build_parser, main
+from qgs.mc_oracle import empirical_pnd
 from qgs.scan import config_to_dict, default_config
 
 
@@ -37,7 +40,6 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
     "argv",
     [
         ["fit-g2", "--target", "1.5", "--mu-peak", "x"],
-        ["validate", "--samples", "1000", "--perturb-cell", "a,b,c"],
         ["scan", "--steps", "3", "--out", "missing/scan.csv"],
         ["pnd", "--separation", "1", "--out", "missing/pnd.csv"],
         ["validate", "--samples", "1000", "--report", "missing/report.json"],
@@ -51,10 +53,17 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         ["scan", "--steps", "3", "--scan-max", "inf"],
         ["validate", "--samples", "1000", "--scan-min=-inf"],
         ["scan", "--steps", "3", "--fixed-position", "nan"],
+        ["scan", "--steps", "3", "--mu-peak", "1.5e308,1.5e308"],
+        ["pnd", "--separation", "1", "--mu-peak", "1.5e308,1.5e308"],
+        ["validate", "--samples", "1000", "--mu-peak", "1.5e308,1.5e308"],
+        ["fit-g2", "--target", "1.5", "--mu-peak", "1.5e308,1.5e308"],
+        ["pnd", "--separation", "inf"],
+        ["pnd", "--separation", "nan"],
+        ["pnd", "--separation", "1e300"],
+        ["scan", "--scan-max", "60", "--steps", "3"],
     ],
     ids=[
         "mu-peak",
-        "perturb-cell",
         "scan-out",
         "pnd-out",
         "validate-report",
@@ -68,6 +77,14 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         "scan-max-inf",
         "scan-min-inf",
         "fixed-position-nan",
+        "scan-mu-modulus",
+        "pnd-mu-modulus",
+        "validate-mu-modulus",
+        "fit-mu-modulus",
+        "separation-inf",
+        "separation-nan",
+        "separation-underflow",
+        "position-underflow",
     ],
 )
 def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
@@ -88,6 +105,12 @@ def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
         # the fitted n_peak overflows to inf
         (["fit-g2", "--target", "1.5", "--mu-peak", "1e200"], 2, "n_peak must be"),
         (["fit-g2", "--target", "1.5", "--mu-peak", "nan"], 2, "mu_peak must be finite"),
+        # |mu| beyond the float range, and positions whose envelope underflows
+        (["scan", "--steps", "3", "--mu-peak", "1.5e308,1.5e308"], 2, "mu_peak must be finite"),
+        (["fit-g2", "--target", "1.5", "--mu-peak", "1.5e308,1.5e308"], 2, "mu_peak must"),
+        (["pnd", "--separation", "nan"], 2, "separation must be finite"),
+        (["pnd", "--separation", "1e300"], 2, "underflows to 0 at position 1e+300"),
+        (["scan", "--scan-max", "60", "--steps", "3"], 2, "underflows to 0 at position 60"),
     ],
     ids=[
         "scan-n-peak",
@@ -98,6 +121,11 @@ def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
         "validate-mu-peak",
         "fit-mu-peak",
         "fit-mu-peak-nan",
+        "scan-mu-modulus",
+        "fit-mu-modulus",
+        "separation-nan",
+        "separation-underflow",
+        "position-underflow",
     ],
 )
 def test_extreme_beam_fails_typed(tmp_path, monkeypatch, capsys, argv, code, message):
@@ -188,9 +216,20 @@ def test_zero_workers_is_config_error_from_any_source(tmp_path, monkeypatch, sou
     assert not out.exists()
 
 
-def test_perturbed_validation_fails(tmp_path):
+def test_perturbed_validation_fails(tmp_path, monkeypatch):
+    def perturbed(*args, **kwargs):
+        # move 20000 counts from the fullest cell into cell (3, 3)
+        emp = empirical_pnd(*args, **kwargs)
+        rows, cols = emp.counts.shape
+        counts = np.zeros((max(rows, 4), max(cols, 4)), dtype=np.int64)
+        counts[:rows, :cols] = emp.counts
+        counts[np.unravel_index(np.argmax(counts), counts.shape)] -= 20000
+        counts[3, 3] += 20000
+        return replace(emp, counts=counts)
+
+    monkeypatch.setattr("qgs.scan.empirical_pnd", perturbed)
     report = tmp_path / "report.json"
-    argv = ["validate", "--samples", "200000", "--perturb-cell", "3,3,20000"]
+    argv = ["validate", "--samples", "200000"]
     assert main(argv + ["--report", str(report)]) == 1
     doc = json.loads(report.read_text())
     cells = [c for r in doc["results"] for c in r["report"]["failing_cells"]]
@@ -217,10 +256,8 @@ def test_validate_report_independent_of_workers(tmp_path):
         ["--seed", str(2**64 - 1)],
         ["--seed", str(2**64 - 2)],  # seed + 2 at the third separation
         ["--seed", "-1"],
-        ["--perturb-cell=-3,3,20000"],
-        ["--perturb-cell=3,-3,20000"],
     ],
-    ids=["seed-max", "seed-last-separation", "seed-negative", "perturb-row", "perturb-column"],
+    ids=["seed-max", "seed-last-separation", "seed-negative"],
 )
 def test_bad_validate_input_rejected_before_sampling(tmp_path, monkeypatch, flags):
     def never(*args, **kwargs):

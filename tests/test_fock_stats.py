@@ -23,7 +23,7 @@ from qgs.fock_stats import (
     single_mode_pnd,
     wavepacket_g2,
 )
-from qgs.mc_oracle import SamplerConfig, empirical_pnd
+from qgs.mc_oracle import empirical_pnd
 from qgs.scan import default_profile
 from qgs.source_model import TwoPointParams, two_point_params
 
@@ -147,9 +147,7 @@ class TestRhoElement:
     def test_derived_against_mc(self, generic_params):
         # Poisson mixing over joint field samples as the brute-force route
         pnd = joint_pnd(generic_params, 6)
-        emp = empirical_pnd(
-            SamplerConfig(params=generic_params, n_samples=2_000_000, seed=424242)
-        )
+        emp = empirical_pnd(generic_params, 2_000_000, 424242)
         val = rho_element(generic_params, FockIndex(1, 1, 1, 1)).real
         phat = emp.counts[1, 1] / emp.total
         se = math.sqrt(phat * (1 - phat) / emp.total)
@@ -337,7 +335,7 @@ class TestJointPnd:
     def test_derived_against_mc(self):
         p = TwoPointParams(n1=1.0, n2=1.0, g=0.9, mu1=0.8 + 0j, mu2=0.8 + 0j)
         pnd = joint_pnd(p, 8)
-        emp = empirical_pnd(SamplerConfig(params=p, n_samples=2_000_000, seed=777))
+        emp = empirical_pnd(p, 2_000_000, 777)
         k = min(pnd.n_max + 1, emp.counts.shape[0], emp.counts.shape[1])
         tv = 0.5 * np.abs(emp.counts[:k, :k] / emp.total - pnd.p[:k, :k]).sum()
         assert tv < 7e-3  # statistical floor at 2e6 samples
@@ -357,7 +355,7 @@ class TestJointPnd:
         ref = math.exp(c) * slab_diagonal(A, b, pnd.n_max).real
         live = ref > 1e-300
         assert np.max(np.abs(pnd.p - ref)[live] / ref[live]) <= 1e-10
-        emp = empirical_pnd(SamplerConfig(params=p, n_samples=2_000_000, seed=2718))
+        emp = empirical_pnd(p, 2_000_000, 2718)
         k = min(pnd.n_max + 1, emp.counts.shape[0], emp.counts.shape[1])
         tv = 0.5 * np.abs(emp.counts[:k, :k] / emp.total - pnd.p[:k, :k]).sum()
         assert tv < 7e-3  # statistical floor at 2e6 samples
@@ -449,12 +447,13 @@ class TestWavepacketG2:
         assert val < 1.0
         from qgs.mc_oracle import empirical_g2
 
-        emp = empirical_pnd(SamplerConfig(params=p, n_samples=2_000_000, seed=31415))
+        emp = empirical_pnd(p, 2_000_000, 31415)
         est = empirical_g2(emp, 5, 1)
         assert abs(est.estimate - val) < 4 * est.std_error
 
     def test_marginal_floor(self):
-        p = TwoPointParams(n1=0.01, n2=0.01, g=0.0, mu1=1e-8 + 0j, mu2=1e-8j)
+        # p(9) = 0, below the 1e-300 floor
+        p = TwoPointParams(n1=1e-40, n2=1e-40, g=0.0, mu1=1e-30 + 0j, mu2=1e-30j)
         pnd = joint_pnd(p, 9)
         with pytest.raises(InsufficientCountsError):
             wavepacket_g2(pnd, 9, 9)

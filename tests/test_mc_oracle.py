@@ -1,11 +1,15 @@
-"""Monte Carlo sampler: the field-draw rule and worker-count invariance."""
+"""Monte Carlo sampler: the field-draw rule and worker-count invariance,
+and compare's verdict on constructed count matrices."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qgs.mc_oracle import SamplerConfig, _block_fields, _block_rng, empirical_pnd
+from qgs.errors import DomainError
+from qgs.fock_stats import JointPND
+from qgs.mc_oracle import EmpiricalPND, _block_fields, _block_rng, compare, empirical_pnd
 from qgs.scan import default_config
 from qgs.source_model import TwoPointParams, two_point_params
 
@@ -33,10 +37,7 @@ def test_g1_block_locks_fluctuations():
 
 def test_counts_identical_across_worker_counts():
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
-    runs = [
-        empirical_pnd(SamplerConfig(params=p, n_samples=5 * 65536 + 123, seed=99, n_workers=w))
-        for w in (1, 2, 3)
-    ]
+    runs = [empirical_pnd(p, 5 * 65536 + 123, 99, w) for w in (1, 2, 3)]
     for run in runs[1:]:
         assert np.array_equal(run.counts, runs[0].counts)
         assert run.overflow_count == runs[0].overflow_count
@@ -46,9 +47,7 @@ def test_overflow_counted_and_worker_invariant():
     # a mean of 400 photons puts about a quarter of the draws past _COUNT_CAP = 512
     p = TwoPointParams(n1=400.0, n2=0.6, g=0.3, mu1=1.0 + 0j, mu2=0.5j)
     n = 2 * 65536 + 17
-    runs = [
-        empirical_pnd(SamplerConfig(params=p, n_samples=n, seed=5, n_workers=w)) for w in (1, 2)
-    ]
+    runs = [empirical_pnd(p, n, 5, w) for w in (1, 2)]
     assert runs[0].overflow_count > 0
     assert runs[0].counts.sum() + runs[0].overflow_count == n
     assert np.array_equal(runs[1].counts, runs[0].counts)
@@ -58,6 +57,58 @@ def test_overflow_counted_and_worker_invariant():
 def test_default_beam_never_overflows():
     cfg = default_config()
     p = two_point_params(cfg.profile, cfg.fixed_position, cfg.fixed_position)
-    emp = empirical_pnd(SamplerConfig(params=p, n_samples=65536 + 1, seed=3))
+    emp = empirical_pnd(p, 65536 + 1, 3)
     assert emp.overflow_count == 0
     assert emp.counts.sum() == emp.total
+
+
+P = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
+
+
+def uniform_analytic(tail_mass=0.0, params=P):
+    """100 cells of equal probability and tail_mass beyond them."""
+    p = np.full((10, 10), (1.0 - tail_mass) / 100)
+    return JointPND(9, p, tail_mass, params, marginals=(p.sum(axis=1), p.sum(axis=0)))
+
+
+def checkerboard(total, d):
+    """total / 100 counts per cell, moved by +d and -d on alternate cells."""
+    sign = np.where(np.add.outer(np.arange(10), np.arange(10)) % 2 == 0, 1, -1)
+    return EmpiricalPND(counts=total // 100 + d * sign, total=total, overflow_count=0, params=P)
+
+
+@pytest.mark.parametrize(
+    "total, gate", [(10_000_000, 3e-3), (6_000_000, 3.873e-3)], ids=["1e7", "6e6"]
+)
+@pytest.mark.parametrize("side, passed", [(0.999, True), (1.001, False)], ids=["under", "over"])
+def test_tv_gate(total, gate, side, passed):
+    # the checkerboard's TV is 50 d / total, and no cell's |z| reaches 2
+    d = round(side * gate * total / 50)
+    report = compare(uniform_analytic(), checkerboard(total, d))
+    assert report.n_failing == 0 and report.max_abs_z < 2
+    assert report.tv_distance == pytest.approx(50 * d / total, rel=1e-9)
+    assert report.passed is passed
+
+
+def test_tv_counts_overflow_against_tail_mass():
+    # 1 % of the mass lies beyond the grid: the counts match the cells
+    # exactly, and the overflow either matches the tail or is missing
+    counts = np.full((10, 10), 99_000)
+    emp = EmpiricalPND(counts=counts, total=10_000_000, overflow_count=100_000, params=P)
+    matched = compare(uniform_analytic(tail_mass=0.01), emp)
+    assert matched.tv_distance < 1e-12 and matched.passed
+    missing = compare(uniform_analytic(tail_mass=0.01), replace(emp, overflow_count=0))
+    assert missing.tv_distance == pytest.approx(5e-3, rel=1e-9)
+    assert missing.n_failing == 0 and not missing.passed
+
+
+def test_mismatched_params_rejected():
+    with pytest.raises(DomainError):
+        compare(uniform_analytic(params=replace(P, g=0.5)), checkerboard(10_000_000, 0))
+
+
+def test_no_qualifying_cell_fails():
+    # one count expected per cell, below the 25 a z test needs
+    report = compare(uniform_analytic(), checkerboard(100, 0))
+    assert report.n_qualifying == 0 and report.tv_distance < 1e-12
+    assert math.isnan(report.max_abs_z) and not report.passed
