@@ -8,11 +8,10 @@ Subcommands:
   pnd       dump the joint photon-number distribution at one separation
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical-certification failure.  An option overrides the field of the
-same name in ScanConfig, BeamProfile or MCSettings, taken from --config
-or the defaults.  The worker count is --workers if given, else a
-configuration file's mc.n_workers if the file sets it, else the
-QGS_WORKERS environment variable, else 1.
+3 numerical-certification failure.  Each command accepts only the
+settings it reads.  An option overrides the field of the same name in
+ScanConfig, BeamProfile or MCSettings, taken from --config or the
+defaults; the worker count follows the same rule.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields, replace
 
@@ -75,14 +73,6 @@ def _parse_complex_pair(text: str) -> complex:
     raise ConfigError(f"bad complex value {text!r}; expected re or re,im")
 
 
-def _env_workers() -> int:
-    env = os.environ.get("QGS_WORKERS", "1")
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"QGS_WORKERS must be an integer, got {env!r}") from exc
-
-
 def _override(obj, given: dict):
     """obj with each field that given names set to given's value."""
     updates = {f.name: given[f.name] for f in fields(obj) if f.name in given}
@@ -94,7 +84,6 @@ def _load_config(args) -> ScanConfig:
 
     bench/invoke.py wraps this function by name to time the end of set-up.
     """
-    doc = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -110,27 +99,30 @@ def _load_config(args) -> ScanConfig:
         given["mu_peak"] = _parse_complex_pair(given["mu_peak"])
     if "pairs" in given:
         given["pairs"] = _parse_pairs(given["pairs"])
-    if "n_workers" not in given and "n_workers" not in doc.get("mc", {}):
-        given["n_workers"] = _env_workers()
     given["profile"] = _override(cfg.profile, given)
     given["mc"] = _override(cfg.mc, given)
     return _override(cfg, given)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_beam(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--n-peak", dest="n_peak", type=float)
     parser.add_argument("--mu-peak", dest="mu_peak", help="re or re,im")
     parser.add_argument("--sigma0", type=float)
     parser.add_argument("--sigma1", type=float)
+
+
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    _add_beam(parser)
+    parser.add_argument("--n-peak", dest="n_peak", type=float)
     parser.add_argument("--fixed-position", dest="fixed_position", type=float)
-    parser.add_argument("--scan-min", dest="scan_min", type=float)
-    parser.add_argument("--scan-max", dest="scan_max", type=float)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--pairs", help="semicolon-separated N,M pairs")
     parser.add_argument("--n-max", dest="n_max", type=int)
     parser.add_argument("--tail-tol", dest="tail_tol", type=float)
-    parser.add_argument("--seed", type=int)
+
+
+def _add_range(parser: argparse.ArgumentParser) -> None:
+    _add_engine(parser)
+    parser.add_argument("--scan-min", dest="scan_min", type=float)
+    parser.add_argument("--scan-max", dest="scan_max", type=float)
     parser.add_argument("--workers", dest="n_workers", type=int)
 
 
@@ -143,25 +135,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scan = sub.add_parser("scan", help="run a separation scan")
-    _add_common(p_scan)
+    _add_range(p_scan)
+    p_scan.add_argument("--steps", type=int)
+    p_scan.add_argument("--pairs", help="semicolon-separated N,M pairs")
     p_scan.add_argument("--out", dest="output_path", help="output path")
     p_scan.add_argument("--format", dest="output_format", choices=("csv", "json"))
 
     p_val = sub.add_parser("validate", help="compare analytic and Monte Carlo routes")
-    _add_common(p_val)
+    _add_range(p_val)
+    p_val.add_argument("--seed", type=int)
     p_val.add_argument(
         "--samples", dest="n_samples", type=int, help="Monte Carlo samples per separation"
     )
     p_val.add_argument("--report", help="path for the JSON report")
 
     p_fit = sub.add_parser("fit-g2", help="fit n_peak to a target g2(0)")
-    _add_common(p_fit)
+    _add_beam(p_fit)
     p_fit.add_argument("--target", type=float, required=True)
 
     p_pnd = sub.add_parser("pnd", help="dump the joint distribution at one separation")
-    _add_common(p_pnd)
+    _add_engine(p_pnd)
     p_pnd.add_argument("--separation", type=float, required=True)
-    p_pnd.add_argument("--out", dest="output_path", help="output path")
+    p_pnd.add_argument("--out", default="pnd.csv", help="output path")
     p_pnd.add_argument("--format", dest="output_format", choices=("csv", "json"))
     return parser
 
@@ -208,7 +203,8 @@ def _cmd_fit_g2(args) -> int:
 
 
 def _cmd_pnd(args) -> int:
-    cfg = _load_config(args)
+    # the JSON metadata records the file this run wrote, never the scan's
+    cfg = replace(_load_config(args), output_path=args.out)
     if not math.isfinite(args.separation):
         raise ConfigError(f"separation must be finite, got {args.separation}")
     params = two_point_params(

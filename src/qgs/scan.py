@@ -200,29 +200,6 @@ def _fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-CSV_HEADER = "separation,N,M,g2_tilde,log2_g2_tilde,classical_g2,tail_mass,flags"
-
-
-def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt_float(r.separation),
-                    str(r.pair[0]),
-                    str(r.pair[1]),
-                    _fmt_float(r.g2_tilde),
-                    _fmt_float(r.log2_g2_tilde),
-                    _fmt_float(r.classical_g2),
-                    _fmt_float(r.tail_mass),
-                    ";".join(r.flags),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def config_to_dict(cfg: ScanConfig) -> dict:
     """JSON-ready form of a configuration; mu_peak is written as [re, im]."""
     doc = asdict(cfg)
@@ -288,36 +265,37 @@ def write_output(path: str, payload: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _row_doc(r: ScanRow) -> dict:
+    """One scan row keyed by its output column, in column order."""
+    return {
+        "separation": r.separation,
+        "N": r.pair[0],
+        "M": r.pair[1],
+        "g2_tilde": r.g2_tilde,
+        "log2_g2_tilde": r.log2_g2_tilde,
+        "classical_g2": r.classical_g2,
+        "tail_mass": r.tail_mass,
+        "flags": list(r.flags),
+    }
+
+
+def _csv_field(value) -> str:
+    return ";".join(value) if isinstance(value, list) else _fmt_float(value)
+
+
 def emit(rows, fmt: str, path: str, cfg: ScanConfig) -> None:
     """Write rows as CSV or JSON with full-precision floats.
 
     The argument order is kept for bench/tracing.py, which wraps
     qgs.cli.emit and sizes the file named by its third argument.
     """
-    if not rows:
-        raise ConfigError("no rows to emit")
+    docs = [_row_doc(r) for r in rows]
     if fmt == "csv":
-        payload = rows_to_csv(rows)
-    elif fmt == "json":
-        doc = {
-            "metadata": {"version": __version__, "config": config_to_dict(cfg)},
-            "rows": [
-                {
-                    "separation": r.separation,
-                    "N": r.pair[0],
-                    "M": r.pair[1],
-                    "g2_tilde": r.g2_tilde,
-                    "log2_g2_tilde": r.log2_g2_tilde,
-                    "classical_g2": r.classical_g2,
-                    "tail_mass": r.tail_mass,
-                    "flags": list(r.flags),
-                }
-                for r in rows
-            ],
-        }
-        payload = json.dumps(doc, indent=2) + "\n"
+        lines = [",".join(docs[0])] + [",".join(map(_csv_field, d.values())) for d in docs]
+        payload = "\n".join(lines) + "\n"
     else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+        doc = {"metadata": {"version": __version__, "config": config_to_dict(cfg)}, "rows": docs}
+        payload = json.dumps(doc, indent=2) + "\n"
     write_output(path, payload)
 
 
@@ -334,11 +312,17 @@ def validate(cfg: ScanConfig) -> dict:
     one; the returned report passes when every separation does.
     """
     n_samples, seed = cfg.mc.n_samples, cfg.mc.seed
+    seps = validation_separations(cfg)
+    # every separation is reduced and certified before the first sample,
+    # so a failure at a later one costs no sampling
+    params = [
+        two_point_params(cfg.profile, cfg.fixed_position, cfg.fixed_position + sep)
+        for sep in seps
+    ]
+    pnds = [joint_pnd(p, cfg.n_max, tail_tol=cfg.tail_tol) for p in params]
     results = []
-    for i, sep in enumerate(validation_separations(cfg)):
-        params = two_point_params(cfg.profile, cfg.fixed_position, cfg.fixed_position + sep)
-        pnd = joint_pnd(params, cfg.n_max, tail_tol=cfg.tail_tol)
-        emp = empirical_pnd(params, n_samples, seed + i, cfg.mc.n_workers)
+    for i, (sep, p, pnd) in enumerate(zip(seps, params, pnds)):
+        emp = empirical_pnd(p, n_samples, seed + i, cfg.mc.n_workers)
         report = asdict(compare(pnd, emp))
         results.append(
             {"separation": sep, "n_samples": n_samples, "seed": seed + i, "report": report}

@@ -1,11 +1,12 @@
-"""CLI exit codes, option precedence and the cost of importing the package."""
+"""CLI exit codes, option sets and precedence, and the cost of importing the package."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from qgs.cli import _load_config, build_parser, main
 from qgs.mc_oracle import empirical_pnd
-from qgs.scan import config_to_dict, default_config
+from qgs.scan import MCSettings, ScanConfig, config_to_dict, default_config
+from qgs.source_model import BeamProfile
 
 
 def test_scan_succeeds(tmp_path):
@@ -184,33 +186,23 @@ def write_config(tmp_path, **mc):
 
 
 @pytest.mark.parametrize(
-    "flag, in_file, env, expected",
+    "flag, in_file, expected",
     [
-        (["--workers", "3"], {"n_workers": 1}, "2", 3),
-        ([], {"n_workers": 1}, "2", 1),
-        ([], {"n_workers": 4}, "2", 4),
-        ([], {}, "2", 2),
-        ([], {}, None, 1),
+        (["--workers", "3"], {"n_workers": 1}, 3),
+        ([], {"n_workers": 1}, 1),
+        ([], {"n_workers": 4}, 4),
+        ([], {}, 1),
     ],
-    ids=["flag", "file-one", "file", "env", "default"],
+    ids=["flag", "file-one", "file", "default"],
 )
-def test_worker_precedence(tmp_path, monkeypatch, flag, in_file, env, expected):
-    if env is None:
-        monkeypatch.delenv("QGS_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("QGS_WORKERS", env)
+def test_worker_precedence(tmp_path, flag, in_file, expected):
     argv = ["scan", "--config", write_config(tmp_path, **in_file), *flag]
     assert _load_config(build_parser().parse_args(argv)).mc.n_workers == expected
 
 
-@pytest.mark.parametrize("source", ["env", "file"])
-def test_zero_workers_is_config_error_from_any_source(tmp_path, monkeypatch, source):
-    if source == "env":
-        monkeypatch.setenv("QGS_WORKERS", "0")
-        config = write_config(tmp_path)
-    else:
-        monkeypatch.delenv("QGS_WORKERS", raising=False)
-        config = write_config(tmp_path, n_workers=0)
+@pytest.mark.parametrize("source", ["file"])
+def test_zero_workers_is_config_error_from_any_source(tmp_path, source):
+    config = write_config(tmp_path, n_workers=0)
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", config, "--steps", "3", "--out", str(out)]) == 2
     assert not out.exists()
@@ -256,8 +248,9 @@ def test_validate_report_independent_of_workers(tmp_path):
         ["--seed", str(2**64 - 1)],
         ["--seed", str(2**64 - 2)],  # seed + 2 at the third separation
         ["--seed", "-1"],
+        ["--scan-max", "60"],  # the envelope underflows at the last separation
     ],
-    ids=["seed-max", "seed-last-separation", "seed-negative"],
+    ids=["seed-max", "seed-last-separation", "seed-negative", "scan-max-underflow"],
 )
 def test_bad_validate_input_rejected_before_sampling(tmp_path, monkeypatch, flags):
     def never(*args, **kwargs):
@@ -267,6 +260,55 @@ def test_bad_validate_input_rejected_before_sampling(tmp_path, monkeypatch, flag
     monkeypatch.chdir(tmp_path)
     assert main(["validate", "--samples", "1000", *flags]) == 2
     assert not any(tmp_path.iterdir())
+
+
+BEAM = ["--config", "--mu-peak", "--sigma0", "--sigma1"]
+ENGINE = BEAM + ["--n-peak", "--fixed-position", "--n-max", "--tail-tol"]
+RANGE = ENGINE + ["--scan-min", "--scan-max", "--workers"]
+OPTIONS = {
+    "fit-g2": BEAM + ["--target"],
+    "pnd": ENGINE + ["--separation", "--out", "--format"],
+    "validate": RANGE + ["--seed", "--samples", "--report"],
+    "scan": RANGE + ["--steps", "--pairs", "--out", "--format"],
+}
+
+
+def subparsers():
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    commands = subparsers()
+    assert sorted(commands) == sorted(OPTIONS)
+    settings = {f.name for cls in (ScanConfig, BeamProfile, MCSettings) for f in fields(cls)}
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert [opt for a in actions for opt in a.option_strings] == OPTIONS[name]
+        own = {"config", "target", "separation", "report"} | ({"out"} if name == "pnd" else set())
+        assert {a.dest for a in actions} - own <= settings, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--seed", "1"], ["fit-g2", "--target", "1.5", "--pairs", "1,1"]],
+    ids=["scan-seed", "fit-pairs"],
+)
+def test_option_a_command_does_not_read_is_rejected(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_pnd_leaves_the_scan_output_alone(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", "--steps", "2"]) == 0
+    scan = (tmp_path / "scan.csv").read_bytes()
+    assert main(["pnd", "--separation", "1"]) == 0
+    assert (tmp_path / "scan.csv").read_bytes() == scan
+    assert (tmp_path / "pnd.csv").read_text().startswith("N,M,p\n")
 
 
 def run_fresh(code):
