@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical-certification failure.  Each command accepts only the
 settings it reads.  An option overrides the field of the same name in
 ScanConfig, BeamProfile or MCSettings, taken from --config or the
-defaults; the worker count follows the same rule.
+defaults; the worker count follows the same rule.  An output path
+(scan's and pnd's --out) ending in .json gets JSON, any other gets CSV.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .scan import (
     default_config,
     emit,
     fit_g2_zero,
+    output_format,
     run_scan,
     validate,
     write_output,
@@ -115,7 +117,6 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
     _add_beam(parser)
     parser.add_argument("--n-peak", dest="n_peak", type=float)
     parser.add_argument("--fixed-position", dest="fixed_position", type=float)
-    parser.add_argument("--n-max", dest="n_max", type=int)
     parser.add_argument("--tail-tol", dest="tail_tol", type=float)
 
 
@@ -139,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--steps", type=int)
     p_scan.add_argument("--pairs", help="semicolon-separated N,M pairs")
     p_scan.add_argument("--out", dest="output_path", help="output path")
-    p_scan.add_argument("--format", dest="output_format", choices=("csv", "json"))
 
     p_val = sub.add_parser("validate", help="compare analytic and Monte Carlo routes")
     _add_range(p_val)
@@ -157,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine(p_pnd)
     p_pnd.add_argument("--separation", type=float, required=True)
     p_pnd.add_argument("--out", default="pnd.csv", help="output path")
-    p_pnd.add_argument("--format", dest="output_format", choices=("csv", "json"))
     return parser
 
 
 def _cmd_scan(args) -> int:
     cfg = _load_config(args)
+    check_writable(cfg.output_path)
     rows = run_scan(cfg, n_workers=cfg.mc.n_workers)
-    emit(rows, cfg.output_format, cfg.output_path, cfg)
+    emit(rows, output_format(cfg.output_path), cfg.output_path, cfg)
     hard = [r for r in rows if "truncation-unmet" in r.flags or "precision-loss" in r.flags]
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
     if hard:
@@ -207,11 +207,12 @@ def _cmd_pnd(args) -> int:
     cfg = replace(_load_config(args), output_path=args.out)
     if not math.isfinite(args.separation):
         raise ConfigError(f"separation must be finite, got {args.separation}")
+    check_writable(cfg.output_path)
     params = two_point_params(
         cfg.profile, cfg.fixed_position, cfg.fixed_position + args.separation
     )
-    pnd = joint_pnd(params, cfg.n_max, tail_tol=cfg.tail_tol)
-    if cfg.output_format == "csv":
+    pnd = joint_pnd(params, 0, tail_tol=cfg.tail_tol)
+    if output_format(cfg.output_path) == "csv":
         lines = ["N,M,p"]
         for n in range(pnd.n_max + 1):
             for m in range(pnd.n_max + 1):

@@ -39,7 +39,8 @@ recurrence on the probabilities themselves, the same for thermal,
 coherent and mixed modes.  joint_pnd calls it once per mode, up to
 HARD_CAP, and takes the cumulative tails t_i(n) = 1 - sum_{k<=n} m_i(k)
 of both arrays once.  The truncation n_eff is one lookup, the first
-n >= n_max with t_1(n) + t_2(n) < tail_tol / 2; the checks read t_1 and
+n >= n_max with t_1(n) + t_2(n) < tail_tol / 2, where the caller sets the
+floor n_max and the cap is HARD_CAP; the checks read t_1 and
 t_2 at n_eff and compare against the marginal prefixes, and JointPND
 carries those prefixes for wavepacket_g2.
 
@@ -70,7 +71,7 @@ DEFAULT_TAIL_TOL = 1e-6
 # separations, where the exact marginals are far below any fixed absolute
 # floor but the positive-sum evaluation is still relatively accurate.
 _MARGINAL_FLOOR = 1e-300
-# joint_pnd's truncation lookup reaches up to max(HARD_CAP, n_max)
+# joint_pnd's truncation lookup reaches up to HARD_CAP, whatever the floor
 HARD_CAP = 40
 # absolute slack of the after-the-fact checks on p(N, M); roundoff in the
 # recurrence and in the closed-form marginals is ~1e-16 per cell.  It is
@@ -256,9 +257,10 @@ def joint_pnd(
 ) -> JointPND:
     """Joint photon-number distribution at the smallest certified truncation.
 
-    n_max is a floor (requested indices stay available).  The truncation
-    is the first n >= n_max whose summed marginal tail is below
-    tail_tol / 2, searched up to HARD_CAP (or n_max, if larger).  A
+    The caller sets the floor n_max (requested indices stay available).
+    The truncation is the first n >= n_max whose summed marginal tail is
+    below tail_tol / 2, searched up to the cap HARD_CAP; a floor above
+    the cap raises TruncationError.  A
     tail_tol below _CHECK_TOL cannot be certified in double precision and
     raises TruncationError.  The reported tail_mass is 1 - sum p, clamped
     at 0 where roundoff takes it below.
@@ -268,8 +270,7 @@ def joint_pnd(
             f"tail tolerance {tail_tol} is below {_CHECK_TOL}, the resolution of "
             "the double-precision normalization check"
         )
-    cap = max(HARD_CAP, n_max)
-    full = (single_mode_pnd(p.n1, p.mu1, cap), single_mode_pnd(p.n2, p.mu2, cap))
+    full = (single_mode_pnd(p.n1, p.mu1, HARD_CAP), single_mode_pnd(p.n2, p.mu2, HARD_CAP))
     t1, t2 = (1.0 - np.cumsum(m) for m in full)
     n_eff = _marginal_tail_order(t1 + t2, n_max, tail_tol)
     marginals = (full[0][: n_eff + 1], full[1][: n_eff + 1])

@@ -24,7 +24,7 @@ from .errors import (
     PrecisionLossError,
     TruncationError,
 )
-from .fock_stats import classical_g2, joint_pnd, wavepacket_g2
+from .fock_stats import HARD_CAP, classical_g2, joint_pnd, wavepacket_g2
 from .mc_oracle import compare, empirical_pnd
 from .source_model import BeamProfile, two_point_params
 
@@ -48,7 +48,13 @@ class MCSettings:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Full description of a scan or validation run."""
+    """Full description of a scan or validation run.
+
+    Every pair index lies in [0, HARD_CAP], the largest truncation
+    joint_pnd searches; the scan passes its largest index to joint_pnd as
+    the truncation floor, and validate and pnd pass 0.  Validation samples
+    scan_min, the midpoint and scan_max.
+    """
 
     profile: BeamProfile
     fixed_position: float = 0.0
@@ -56,17 +62,13 @@ class ScanConfig:
     scan_max: float = 4.0
     steps: int = 81
     pairs: tuple = DEFAULT_PAIRS
-    n_max: int = 16
     tail_tol: float = 1e-6
     mc: MCSettings = MCSettings()
-    validate_separations: tuple | None = None
-    output_format: str = "csv"
     output_path: str = "scan.csv"
 
     def __post_init__(self) -> None:
-        positions = (self.fixed_position, self.scan_min, self.scan_max)
-        if not all(map(math.isfinite, positions + (self.validate_separations or ()))):
-            raise ConfigError("positions and separations must be finite")
+        if not all(map(math.isfinite, (self.fixed_position, self.scan_min, self.scan_max))):
+            raise ConfigError("positions must be finite")
         if not self.scan_min < self.scan_max:
             raise ConfigError("scan_min must be below scan_max")
         if self.steps < 2:
@@ -77,15 +79,10 @@ class ScanConfig:
             raise ConfigError("at least one (N, M) pair is required")
         for pair in self.pairs:
             n, m = pair
-            if n < 0 or m < 0:
-                raise ConfigError(f"pair indices must be nonnegative, got {pair}")
-            if max(n, m) > self.n_max:
-                raise ConfigError(f"pair {pair} exceeds n_max = {self.n_max}")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-        # validate seeds separation i with seed + i
-        last_seed = self.mc.seed + len(validation_separations(self)) - 1
-        if not (0 <= self.mc.seed and last_seed < 2**64):
+            if not (0 <= n <= HARD_CAP and 0 <= m <= HARD_CAP):
+                raise ConfigError(f"pair indices must lie in [0, {HARD_CAP}], got {pair}")
+        # validate seeds its three separations with seed, seed + 1 and seed + 2
+        if not (0 <= self.mc.seed and self.mc.seed + 2 < 2**64):
             raise ConfigError(
                 f"seed must lie in [0, 2**64) at every validation separation, got {self.mc.seed}"
             )
@@ -114,7 +111,7 @@ def _scan_position(cfg: ScanConfig, sep: float):
     params = two_point_params(cfg.profile, s1, s1 + sep)
     base_flags = ("degenerate-g",) if params.is_degenerate else ()
     try:
-        pnd = joint_pnd(params, cfg.n_max, tail_tol=cfg.tail_tol)
+        pnd = joint_pnd(params, max(map(max, cfg.pairs)), tail_tol=cfg.tail_tol)
     except (TruncationError, PrecisionLossError) as exc:
         flag = "truncation-unmet" if isinstance(exc, TruncationError) else "precision-loss"
         return [
@@ -232,7 +229,6 @@ _COERCE = {
     "str": str,
     "complex": _complex,
     "tuple": lambda v: tuple(tuple(int(x) for x in pair) for pair in v),  # pairs
-    "tuple | None": lambda v: tuple(float(x) for x in v) if v else None,  # separations
     "BeamProfile": lambda v: _build(BeamProfile, v),
     "MCSettings": lambda v: _build(MCSettings, v),
 }
@@ -283,6 +279,11 @@ def _csv_field(value) -> str:
     return ";".join(value) if isinstance(value, list) else _fmt_float(value)
 
 
+def output_format(path: str) -> str:
+    """The format of an output file: JSON for a path ending in .json, else CSV."""
+    return "json" if path.endswith(".json") else "csv"
+
+
 def emit(rows, fmt: str, path: str, cfg: ScanConfig) -> None:
     """Write rows as CSV or JSON with full-precision floats.
 
@@ -299,27 +300,21 @@ def emit(rows, fmt: str, path: str, cfg: ScanConfig) -> None:
     write_output(path, payload)
 
 
-def validation_separations(cfg: ScanConfig):
-    if cfg.validate_separations is not None:
-        return list(cfg.validate_separations)
-    return [cfg.scan_min, 0.5 * (cfg.scan_min + cfg.scan_max), cfg.scan_max]
-
-
 def validate(cfg: ScanConfig) -> dict:
-    """Analytic-versus-Monte-Carlo comparison at the configured separations.
+    """Analytic-versus-Monte-Carlo comparison at scan_min, the midpoint and scan_max.
 
     Separation i is sampled with seed mc.seed + i, and compare gates each
     one; the returned report passes when every separation does.
     """
     n_samples, seed = cfg.mc.n_samples, cfg.mc.seed
-    seps = validation_separations(cfg)
+    seps = [cfg.scan_min, 0.5 * (cfg.scan_min + cfg.scan_max), cfg.scan_max]
     # every separation is reduced and certified before the first sample,
     # so a failure at a later one costs no sampling
     params = [
         two_point_params(cfg.profile, cfg.fixed_position, cfg.fixed_position + sep)
         for sep in seps
     ]
-    pnds = [joint_pnd(p, cfg.n_max, tail_tol=cfg.tail_tol) for p in params]
+    pnds = [joint_pnd(p, 0, tail_tol=cfg.tail_tol) for p in params]
     results = []
     for i, (sep, p, pnd) in enumerate(zip(seps, params, pnds)):
         emp = empirical_pnd(p, n_samples, seed + i, cfg.mc.n_workers)

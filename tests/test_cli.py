@@ -1,6 +1,7 @@
 """CLI exit codes, option sets and precedence, and the cost of importing the package."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -24,11 +25,30 @@ def test_scan_succeeds(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 3 * 8
 
 
-@pytest.mark.parametrize("pairs", ["1,2,3", "a,b", "20,1"])
+@pytest.mark.parametrize("pairs", ["1,2,3", "a,b", "41,1"])
 def test_malformed_pairs_is_config_error(tmp_path, pairs):
+    # 41 lies beyond HARD_CAP, the largest truncation joint_pnd searches
     out = tmp_path / "scan.csv"
     assert main(["scan", "--steps", "3", "--pairs", pairs, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_scan_truncates_at_its_largest_pair_index(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--pairs", "20,1", "--steps", "3", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["N"], r["M"]) for r in rows] == [("20", "1")] * 3
+    assert all(float(r["g2_tilde"]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "argv", [["pnd", "--separation", "1"], ["validate", "--samples", "20000"]], ids=["pnd", "validate"]
+)
+def test_scan_pairs_do_not_bound_pnd_or_validate(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(default_config(pairs=((20, 20), (1, 1))))))
+    assert main([*argv, "--config", str(path)]) == 0
 
 
 def test_unreachable_tail_is_certification_failure(tmp_path):
@@ -151,6 +171,65 @@ def test_dim_beam_rows_flag_marginal_floor(tmp_path):
     assert all(r[3] == "" and "marginal-floor" in r[-1].split(";") for r in dim)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--steps", "3", "--out", "missing/x.csv"],
+        ["pnd", "--separation", "1", "--out", "missing/p.csv"],
+    ],
+    ids=["scan", "pnd"],
+)
+def test_output_path_checked_before_work(tmp_path, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before checking the output path")
+
+    monkeypatch.setattr("qgs.cli.run_scan", never)
+    monkeypatch.setattr("qgs.cli.joint_pnd", never)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_scan_json_has_the_csv_rows(tmp_path):
+    csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+    for out in (csv_out, json_out):
+        assert main(["scan", "--steps", "3", "--out", str(out)]) == 0
+    doc = json.loads(json_out.read_text())
+    assert not {"n_max", "validate_separations", "output_format"} & set(doc["metadata"]["config"])
+    rows = list(csv.DictReader(csv_out.read_text().splitlines()))
+    assert len(rows) == len(doc["rows"]) == 3 * 8
+    for row, rec in zip(rows, doc["rows"]):
+        assert list(row) == list(rec)
+        for key, value in rec.items():
+            if key == "flags":
+                assert row[key] == ";".join(value)
+            elif value is None:
+                assert row[key] == ""
+            else:
+                assert float(row[key]) == value
+
+
+def test_pnd_json_is_normalized(tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["pnd", "--separation", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    p = np.array(doc["p"])
+    assert p.shape == (doc["n_max"] + 1, doc["n_max"] + 1)
+    assert abs(p.sum() + doc["tail_mass"] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["out.dat", "out.json.csv"])
+@pytest.mark.parametrize(
+    "argv, header",
+    [(["scan", "--steps", "2"], "separation,N,M,"), (["pnd", "--separation", "1"], "N,M,p\n")],
+    ids=["scan", "pnd"],
+)
+def test_other_suffix_gets_csv(tmp_path, argv, header, name):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text().startswith(header)
+
+
 def test_report_path_checked_before_sampling(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("sampled before checking the report path")
@@ -162,7 +241,16 @@ def test_report_path_checked_before_sampling(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "section, key", [(None, "tail_toll"), ("mc", "n_sample")], ids=["top", "nested"]
+    "section, key",
+    [
+        (None, "tail_toll"),
+        ("mc", "n_sample"),
+        # settings the run works out for itself
+        (None, "n_max"),
+        (None, "validate_separations"),
+        (None, "output_format"),
+    ],
+    ids=["top", "nested", "n_max", "validate_separations", "output_format"],
 )
 def test_unknown_config_key_is_config_error(tmp_path, capsys, section, key):
     doc = config_to_dict(default_config())
@@ -263,13 +351,13 @@ def test_bad_validate_input_rejected_before_sampling(tmp_path, monkeypatch, flag
 
 
 BEAM = ["--config", "--mu-peak", "--sigma0", "--sigma1"]
-ENGINE = BEAM + ["--n-peak", "--fixed-position", "--n-max", "--tail-tol"]
+ENGINE = BEAM + ["--n-peak", "--fixed-position", "--tail-tol"]
 RANGE = ENGINE + ["--scan-min", "--scan-max", "--workers"]
 OPTIONS = {
     "fit-g2": BEAM + ["--target"],
-    "pnd": ENGINE + ["--separation", "--out", "--format"],
+    "pnd": ENGINE + ["--separation", "--out"],
     "validate": RANGE + ["--seed", "--samples", "--report"],
-    "scan": RANGE + ["--steps", "--pairs", "--out", "--format"],
+    "scan": RANGE + ["--steps", "--pairs", "--out"],
 }
 
 
@@ -281,12 +369,18 @@ def subparsers():
 def test_each_command_takes_only_the_options_it_reads():
     commands = subparsers()
     assert sorted(commands) == sorted(OPTIONS)
+    # the leaf settings; profile and mc hold the BeamProfile and MCSettings ones
     settings = {f.name for cls in (ScanConfig, BeamProfile, MCSettings) for f in fields(cls)}
+    settings -= {"profile", "mc"}
+    dests = set()
     for name, parser in commands.items():
         actions = [a for a in parser._actions if a.dest != "help"]
         assert [opt for a in actions for opt in a.option_strings] == OPTIONS[name]
         own = {"config", "target", "separation", "report"} | ({"out"} if name == "pnd" else set())
         assert {a.dest for a in actions} - own <= settings, name
+        dests |= {a.dest for a in actions}
+    # no setting is reachable from a config file alone
+    assert settings <= dests
 
 
 @pytest.mark.parametrize(

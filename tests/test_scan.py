@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from qgs.errors import ConfigError
-from qgs.fock_stats import classical_g2_closed
+from qgs.fock_stats import HARD_CAP, classical_g2_closed
 from qgs.scan import (
     MCSettings,
     config_from_dict,
@@ -25,8 +25,6 @@ def test_config_round_trip():
         pairs=((0, 0), (3, 1)),
         tail_tol=1e-8,
         mc=MCSettings(n_samples=1234, seed=5, n_workers=2),
-        validate_separations=(0.5, 1.5),
-        output_format="json",
         output_path="out.json",
     )
     cfg = replace(cfg, profile=replace(cfg.profile, mu_peak=0.3 - 0.7j))
@@ -37,16 +35,16 @@ def test_config_round_trip():
 def test_seed_range_covers_every_validation_separation():
     # separation i is sampled with seed + i, and every seed must fit in 64 bits
     assert default_config(mc=MCSettings(seed=2**64 - 3)).mc.seed == 2**64 - 3
-    one = default_config(mc=MCSettings(seed=2**64 - 2), validate_separations=(1.0,))
-    assert one.mc.seed == 2**64 - 2
     with pytest.raises(ConfigError):
         default_config(mc=MCSettings(seed=2**64 - 2))
 
 
-def test_non_finite_validation_separation_rejected():
-    # no CLI flag sets validate_separations; a config file can
-    with pytest.raises(ConfigError):
-        default_config(validate_separations=(0.0, float("inf")))
+def test_pair_indices_lie_within_hard_cap():
+    # checked on the configuration only: no engine call at a huge index
+    assert default_config(pairs=((HARD_CAP, 0),)).pairs == ((HARD_CAP, 0),)
+    for pair in [(HARD_CAP + 1, 1), (1, HARD_CAP + 1), (-1, 0), (10**18, 0)]:
+        with pytest.raises(ConfigError):
+            default_config(pairs=(pair,))
 
 
 def test_rows_independent_of_workers():
