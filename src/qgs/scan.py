@@ -51,9 +51,9 @@ class ScanConfig:
     """Full description of a scan or validation run.
 
     Every pair index lies in [0, HARD_CAP], the largest truncation
-    joint_pnd searches; the scan passes its largest index to joint_pnd as
-    the truncation floor, and validate and pnd pass 0.  Validation samples
-    scan_min, the midpoint and scan_max.
+    joint_pnd searches; the scan's truncation floor is the largest index of
+    its pairs and DEFAULT_PAIRS (16), and validate and pnd pass 0.
+    Validation samples scan_min, the midpoint and scan_max.
     """
 
     profile: BeamProfile
@@ -110,8 +110,10 @@ def _scan_position(cfg: ScanConfig, sep: float):
     s1 = cfg.fixed_position
     params = two_point_params(cfg.profile, s1, s1 + sep)
     base_flags = ("degenerate-g",) if params.is_degenerate else ()
+    # at least 16: at a dim position, the smallest certified truncation is 2e-4 off classical_g2
+    floor = max(map(max, DEFAULT_PAIRS + tuple(cfg.pairs)))
     try:
-        pnd = joint_pnd(params, max(map(max, cfg.pairs)), tail_tol=cfg.tail_tol)
+        pnd = joint_pnd(params, floor, tail_tol=cfg.tail_tol)
     except (TruncationError, PrecisionLossError) as exc:
         flag = "truncation-unmet" if isinstance(exc, TruncationError) else "precision-loss"
         return [

@@ -41,6 +41,21 @@ def test_scan_truncates_at_its_largest_pair_index(tmp_path):
     assert all(float(r["g2_tilde"]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("fixed,pairs", [("10", "0,0"), ("6", "1,1")], ids=["10-0,0", "6-1,1"])
+def test_small_pairs_keep_the_default_truncation(tmp_path, fixed, pairs):
+    # classical_g2 and tail_mass come from the truncated matrix, so small
+    # pairs at a dim position must not lower the truncation below 16
+    argv = ["scan", "--fixed-position", fixed, "--scan-max", "1", "--steps", "2"]
+    small, default = tmp_path / "small.csv", tmp_path / "default.csv"
+    assert main([*argv, "--pairs", pairs, "--out", str(small)]) == 0
+    assert main([*argv, "--out", str(default)]) == 0
+    columns = ("separation", "classical_g2", "tail_mass")
+    want = {tuple(r[c] for c in columns) for r in csv.DictReader(default.read_text().splitlines())}
+    got = [tuple(r[c] for c in columns) for r in csv.DictReader(small.read_text().splitlines())]
+    assert len(got) == 2 and set(got) == want
+    assert all(float(r[1]) > 0 for r in got)
+
+
 @pytest.mark.parametrize(
     "argv", [["pnd", "--separation", "1"], ["validate", "--samples", "20000"]], ids=["pnd", "validate"]
 )
