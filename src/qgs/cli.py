@@ -219,13 +219,15 @@ def _cmd_pnd(args) -> int:
                 lines.append(f"{n},{m},{format(pnd.p[n, m], '.17g')}")
         payload = "\n".join(lines) + "\n"
     else:
+        pnd_reads = ("profile", "fixed_position", "tail_tol", "output_path")
+        config = {k: v for k, v in config_to_dict(cfg).items() if k in pnd_reads}
         payload = (
             json.dumps(
                 {
                     "metadata": {
                         "version": __version__,
                         "separation": args.separation,
-                        "config": config_to_dict(cfg),
+                        "config": config,
                     },
                     "n_max": pnd.n_max,
                     "tail_mass": pnd.tail_mass,

@@ -17,10 +17,6 @@ class PrecisionLossError(CertificationError):
     """Catastrophic cancellation left fewer significant digits than required."""
 
 
-class ConvergenceError(CertificationError):
-    """An iterative or adaptive scheme failed to meet its tolerance."""
-
-
 class TruncationError(CertificationError):
     """A truncated distribution could not reach the requested tail mass."""
 

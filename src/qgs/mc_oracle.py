@@ -211,8 +211,10 @@ def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
 
     expected = t * pa
     qual = expected >= _MIN_EXPECTED
-    z = np.zeros_like(pa)
-    np.divide(obs - expected, np.sqrt(expected * (1.0 - pa)), out=z, where=qual)
+    sd = np.sqrt(expected * (1.0 - pa))
+    # a cell of p = 1 has no spread: any miss is an infinite z, an exact hit z = 0
+    z = np.where(qual & (obs != expected), np.copysign(np.inf, obs - expected), 0.0)
+    np.divide(obs - expected, sd, out=z, where=qual & (sd > 0))
     n_fail = int(np.sum(np.abs(z[qual]) > _Z_THRESHOLD))
     n_qual = int(np.sum(qual))
     failing = tuple(

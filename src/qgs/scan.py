@@ -114,13 +114,13 @@ def _scan_position(cfg: ScanConfig, sep: float):
     floor = max(map(max, DEFAULT_PAIRS + tuple(cfg.pairs)))
     try:
         pnd = joint_pnd(params, floor, tail_tol=cfg.tail_tol)
+        cls = classical_g2(pnd)
     except (TruncationError, PrecisionLossError) as exc:
         flag = "truncation-unmet" if isinstance(exc, TruncationError) else "precision-loss"
         return [
             ScanRow(sep, tuple(pair), None, None, None, None, base_flags + (flag,))
             for pair in cfg.pairs
         ]
-    cls = classical_g2(pnd)
     rows = []
     for pair in cfg.pairs:
         n, m = pair

@@ -3,8 +3,8 @@
 A value is represented by an unevaluated sum ``hi + lo`` of two IEEE
 doubles with ``hi = fl(hi + lo)``, giving roughly 31-32 significant
 decimal digits.  All kernels below are branch-free and work elementwise
-on scalars or numpy arrays, so the same code serves both the scalar
-special-function path and the vectorized Fock-element assembly.
+on scalars or numpy arrays, so the same code serves both the scalar and
+the vectorized 1F1 paths of ``tests/specfun.py``.
 
 The error-free transformations (two_sum, two_prod with Dekker splitting)
 follow the classic qd/Shewchuk constructions.  No fused multiply-add is
@@ -62,10 +62,6 @@ def dd_add(xh, xl, yh, yl):
     return fast_two_sum(s1, s2)
 
 
-def dd_neg(xh, xl):
-    return -xh, -xl
-
-
 def dd_sub(xh, xl, yh, yl):
     return dd_add(xh, xl, -yh, -yl)
 
@@ -112,13 +108,6 @@ def dd_sqrt(ah, al):
     dh, dl = dd_sub(ah, al, ph, pl)
     corr = (dh + dl) / (2.0 * r)
     return fast_two_sum(r, corr)
-
-
-def dd_from_int(n: int):
-    """Exact conversion of |n| < 2**106 to double-double."""
-    hi = float(n)
-    lo = float(n - int(hi))
-    return hi, lo
 
 
 def dd_npow(xh, xl, n: int):
@@ -194,15 +183,6 @@ class DDSum:
 
     def surviving_digits(self) -> float:
         return DD_DIGITS - self.loss_digits()
-
-
-def loss_digits(abs_sum: float, result_hi: float) -> float:
-    """Cancellation loss estimate for an externally accumulated sum."""
-    if abs_sum == 0.0:
-        return 0.0
-    if result_hi == 0.0:
-        return np.inf
-    return max(0.0, float(np.log10(abs_sum / abs(result_hi))))
 
 
 # pi to double-double precision, then derived constants.

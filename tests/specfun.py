@@ -8,13 +8,12 @@ whose closed form pairs a gamma factor with a Kummer confluent
 hypergeometric function 1F1 evaluated at b^2/(4a).  Exactly one of the
 two parity branches survives for each n, so only that branch is ever
 evaluated.  Everything here is computed in double-double arithmetic
-(see :mod:`qgs.ddouble`) so that the values survive alternating sums
+(see ``tests/ddouble.py``) so that the values survive alternating sums
 with combinatorially growing cancellation.
 
-The photon-number engine in :mod:`qgs.fock_stats` no longer uses this
-module: it runs a complex128 Gaussian Fock recurrence instead.  The
-module is standalone, is not imported by ``import qgs``, and loads no
-scipy.
+Test-only code: the photon-number engine in :mod:`qgs.fock_stats` runs a
+complex128 Gaussian Fock recurrence instead, and nothing in the ``qgs``
+package imports this module.  Only ``tests/test_specfun.py`` does.
 
 All functions are pure; cached tables are immutable after creation.
 """
@@ -27,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ddouble import (
+from ddouble import (
     DD_SQRT_PI,
     DDSum,
     dd_add,
@@ -35,12 +34,9 @@ from .ddouble import (
     dd_div_d,
     dd_mul,
     dd_mul_d,
-    dd_npow,
     dd_sqrt,
-    dd_sub,
-    two_prod,
 )
-from .errors import CertificationError, ConvergenceError, DomainError
+from qgs.errors import CertificationError, DomainError
 
 _MAX_SERIES_TERMS = 20000
 _OVERFLOW_GUARD = 1e280
@@ -119,7 +115,7 @@ def _hyp1f1_dd(a: float, b: float, zh: float, zl: float = 0.0):
         if abs(th) <= 1e-35 * abs(acc.hi) and k > 2:
             return acc.dd_value(), acc.surviving_digits()
         k += 1
-    raise ConvergenceError(f"1F1({a}; {b}; {zh}) did not converge in {k} terms")
+    raise CertificationError(f"1F1({a}; {b}; {zh}) did not converge in {k} terms")
 
 
 def hyp1f1(a: float, b: float, z: float) -> float:
@@ -172,7 +168,7 @@ def _hyp1f1_dd_vec(avec: np.ndarray, b: float, zh: float, zl: float = 0.0):
             raise CertificationError("1F1 ladder overflows the supported range")
         if k > 2 and np.all(np.abs(th) <= 1e-35 * np.abs(sh)):
             return sh, sl
-    raise ConvergenceError("1F1 ladder did not converge")
+    raise CertificationError("1F1 ladder did not converge")
 
 
 def _moment_ladder_dd(a, b, n_max: int):

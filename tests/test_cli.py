@@ -175,6 +175,29 @@ def test_extreme_beam_fails_typed(tmp_path, monkeypatch, capsys, argv, code, mes
     assert message in capsys.readouterr().err
 
 
+VACUUM = ["--n-peak", "1e-300", "--mu-peak", "0"]
+
+
+def test_vacuum_beam_scan_flags_precision_loss(tmp_path):
+    # the two means are about 1e-300 each, and their product underflows
+    out = tmp_path / "scan.csv"
+    assert main(["scan", *VACUUM, "--steps", "3", "--out", str(out)]) == 3
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 3 * 8
+    assert all("precision-loss" in r["flags"].split(";") for r in rows)
+    assert all(r["classical_g2"] == r["g2_tilde"] == "" for r in rows)
+
+
+def test_vacuum_beam_validates_without_warning(tmp_path):
+    # p(0, 0) = 1 gives the one qualifying cell a zero variance
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", *VACUUM, "--samples", "20000", "--report", str(report)]) == 0
+    results = json.loads(report.read_text())["results"]
+    assert [r["report"]["max_abs_z"] for r in results] == [0.0] * 3
+
+
 def test_dim_beam_rows_flag_marginal_floor(tmp_path):
     # far out on the beam p1(16) p2(16) underflows to 0
     out = tmp_path / "scan.csv"
@@ -231,6 +254,19 @@ def test_pnd_json_is_normalized(tmp_path):
     p = np.array(doc["p"])
     assert p.shape == (doc["n_max"] + 1, doc["n_max"] + 1)
     assert abs(p.sum() + doc["tail_mass"] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("config", [False, True], ids=["defaults", "config-file"])
+def test_pnd_json_records_only_what_pnd_read(tmp_path, config):
+    argv = ["pnd", "--separation", "1", "--out", str(tmp_path / "p.json")]
+    if config:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(default_config(steps=5, pairs=((1, 1),)))))
+        argv += ["--config", str(path)]
+    assert main(argv) == 0
+    metadata = json.loads((tmp_path / "p.json").read_text())["metadata"]
+    assert list(metadata["config"]) == ["profile", "fixed_position", "tail_tol", "output_path"]
+    assert metadata["separation"] == 1.0
 
 
 @pytest.mark.parametrize("name", ["out.dat", "out.json.csv"])

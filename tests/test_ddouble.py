@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgs.ddouble import (
+from ddouble import (
     DDSum,
     dd_add,
     dd_div,

@@ -10,6 +10,7 @@ import qgs.fock_stats as fock_stats
 from qgs.errors import (
     DomainError,
     InsufficientCountsError,
+    PrecisionLossError,
     TruncationError,
 )
 from qgs.fock_stats import (
@@ -494,3 +495,11 @@ class TestClassicalG2:
         p = TwoPointParams(n1=0.8, n2=0.5, g=g, mu1=0.9 + 0j, mu2=0.6 + 0j)
         pnd = joint_pnd(p, 8, tail_tol=1e-10)
         assert classical_g2(pnd) == pytest.approx(classical_g2_closed(p), abs=1e-6)
+
+    def test_underflowing_mean_product_is_precision_loss(self):
+        # both means are about 1e-300, so their product and <n1 n2> underflow to 0
+        p = TwoPointParams(n1=1e-300, n2=1e-300, g=1.0, mu1=0j, mu2=0j)
+        pnd = joint_pnd(p, 16)
+        assert pnd.p[1, 0] > 0 and pnd.p[0, 1] > 0
+        with pytest.raises(PrecisionLossError, match="underflows"):
+            classical_g2(pnd)

@@ -112,3 +112,26 @@ def test_no_qualifying_cell_fails():
     report = compare(uniform_analytic(), checkerboard(100, 0))
     assert report.n_qualifying == 0 and report.tv_distance < 1e-12
     assert math.isnan(report.max_abs_z) and not report.passed
+
+
+def vacuum_analytic():
+    """The 1 x 1 distribution p = [[1.0]] of a beam with no photons."""
+    p = np.ones((1, 1))
+    return JointPND(0, p, 0.0, P, marginals=(p.sum(axis=1), p.sum(axis=0)))
+
+
+def test_zero_variance_cell_exact_counts_pass():
+    emp = EmpiricalPND(counts=np.array([[20_000]]), total=20_000, overflow_count=0, params=P)
+    report = compare(vacuum_analytic(), emp)
+    assert report.n_qualifying == 1 and report.n_failing == 0
+    assert report.max_abs_z == 0 and report.passed
+
+
+def test_zero_variance_cell_moved_count_fails():
+    # one count moved from the certain cell (0, 0) into (0, 1)
+    counts = np.array([[19_999, 1]])
+    emp = EmpiricalPND(counts=counts, total=20_000, overflow_count=0, params=P)
+    report = compare(vacuum_analytic(), emp)
+    assert report.n_qualifying == 1 and report.n_failing == 1
+    assert report.max_abs_z == math.inf and not report.passed
+    assert report.failing_cells == ((0, 0, -math.inf, 20_000.0, 19_999),)

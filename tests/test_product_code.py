@@ -5,7 +5,8 @@ a load of the name or of an attribute with its name, or a string equal
 to it (the benchmark's tracer names its targets in strings).  Uses inside
 the name's own definition, and inside definitions that are themselves
 unused, do not count, so a chain of helpers that only tests reach is
-caught as a whole.  Code that only tests call belongs in `tests/`.
+caught as a whole.  Code that only tests call belongs in `tests/`, and
+neither the package nor the benchmark may import it from there.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qgs"
 PRODUCT = ("cli", "scan", "fock_stats", "source_model", "mc_oracle", "errors")
+TEST_ONLY = ("oracles", "specfun", "ddouble")
 
 # test-only today, each kept until the ROADMAP item named here decides it
 WAITING_NAMES = {
@@ -21,12 +23,6 @@ WAITING_NAMES = {
     "G2Estimate": "ROADMAP item 7",
     "_MIN_MARGINAL_COUNTS": "ROADMAP item 7",
     "classical_g2_closed": "ROADMAP item 6",
-    "ConvergenceError": "ROADMAP item 1",
-}
-# modules that only tests import; they are not users of the product names
-WAITING_MODULES = {
-    "ddouble": "ROADMAP item 1",
-    "specfun": "ROADMAP item 1",
 }
 
 
@@ -57,8 +53,6 @@ def unused_product_names():
     defined = set()
     readers = {}  # name -> the sets of names whose definitions read it; empty = live code
     for path in PACKAGE.glob("*.py"):
-        if path.stem in WAITING_MODULES:
-            continue
         for stmt in ast.parse(path.read_text()).body:
             owners = defined_names(stmt) if path.stem in PRODUCT else set()
             defined |= owners
@@ -83,3 +77,30 @@ def test_product_names_have_users():
     unused = unused_product_names()
     assert unused - set(WAITING_NAMES) == set(), "move test-only code to tests/"
     assert set(WAITING_NAMES) - unused == set(), "in use now: drop from WAITING_NAMES"
+
+
+def imported_modules(tree):
+    """Every module name an import statement under tree names, dotted parts split."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield from alias.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            yield from (node.module or "").split(".")
+            yield from (alias.name for alias in node.names)
+
+
+def test_package_is_exactly_the_product():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules == set(PRODUCT) | {"__init__"}
+
+
+def test_product_imports_no_test_code():
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    offenders = {
+        (path.relative_to(ROOT).as_posix(), name)
+        for path in paths
+        for name in imported_modules(ast.parse(path.read_text()))
+        if name in TEST_ONLY
+    }
+    assert offenders == set()

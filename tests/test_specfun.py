@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgs.errors import DomainError
-from qgs.specfun import (
+from specfun import (
     MomentParams,
     gaussian_moment,
     hyp1f1,
