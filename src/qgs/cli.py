@@ -13,6 +13,8 @@ settings it reads.  An option overrides the field of the same name in
 ScanConfig, BeamProfile or MCSettings, taken from --config or the
 defaults; the worker count follows the same rule.  An output path
 (scan's and pnd's --out) ending in .json gets JSON, any other gets CSV.
+Every JSON output is strict JSON: a non-finite number, such as a
+validate report's max_abs_z when no cell qualifies, is written as null.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .scan import (
     check_writable,
     config_from_dict,
     config_to_dict,
+    csv_table,
     default_config,
     emit,
     fit_g2_zero,
+    json_text,
     output_format,
     run_scan,
     validate,
@@ -165,7 +169,7 @@ def _cmd_scan(args) -> int:
     check_writable(cfg.output_path)
     rows = run_scan(cfg, n_workers=cfg.mc.n_workers)
     emit(rows, output_format(cfg.output_path), cfg.output_path, cfg)
-    hard = [r for r in rows if "truncation-unmet" in r.flags or "precision-loss" in r.flags]
+    hard = [r for r in rows if {"truncation-unmet", "precision-loss"} & set(r["flags"])]
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
     if hard:
         print(f"{len(hard)} rows failed numerical certification", file=sys.stderr)
@@ -178,18 +182,13 @@ def _cmd_validate(args) -> int:
     report_path = args.report or "validate_report.json"
     check_writable(report_path)
     doc = validate(cfg)
-    write_output(report_path, json.dumps(doc, indent=2) + "\n")
+    write_output(report_path, json_text(doc))
     for res in doc["results"]:
         rep = res["report"]
+        verdict = "pass" if rep["passed"] else "FAIL"
         print(
-            "separation {separation:g}: {verdict} "
-            "(tv={tv:.2e}, failing z cells {fail}/{qual})".format(
-                separation=res["separation"],
-                verdict="pass" if rep["passed"] else "FAIL",
-                tv=rep["tv_distance"],
-                fail=rep["n_failing"],
-                qual=rep["n_qualifying"],
-            )
+            f"separation {res['separation']:g}: {verdict} (tv={rep['tv_distance']:.2e}, "
+            f"failing z cells {rep['n_failing']}/{rep['n_qualifying']})"
         )
     print(f"report written to {report_path}")
     return EXIT_OK if doc["passed"] else EXIT_VALIDATION
@@ -198,7 +197,7 @@ def _cmd_validate(args) -> int:
 def _cmd_fit_g2(args) -> int:
     cfg = _load_config(args)
     fitted = replace(cfg, profile=fit_g2_zero(args.target, cfg.profile))
-    print(json.dumps(config_to_dict(fitted)["profile"], indent=2))
+    sys.stdout.write(json_text(config_to_dict(fitted)["profile"]))
     return EXIT_OK
 
 
@@ -208,35 +207,18 @@ def _cmd_pnd(args) -> int:
     if not math.isfinite(args.separation):
         raise ConfigError(f"separation must be finite, got {args.separation}")
     check_writable(cfg.output_path)
-    params = two_point_params(
-        cfg.profile, cfg.fixed_position, cfg.fixed_position + args.separation
-    )
+    s1 = cfg.fixed_position
+    params = two_point_params(cfg.profile, s1, s1 + args.separation)
     pnd = joint_pnd(params, 0, tail_tol=cfg.tail_tol)
     if output_format(cfg.output_path) == "csv":
-        lines = ["N,M,p"]
-        for n in range(pnd.n_max + 1):
-            for m in range(pnd.n_max + 1):
-                lines.append(f"{n},{m},{format(pnd.p[n, m], '.17g')}")
-        payload = "\n".join(lines) + "\n"
+        cells = enumerate(pnd.p.tolist())
+        payload = csv_table([{"N": n, "M": m, "p": p} for n, ps in cells for m, p in enumerate(ps)])
     else:
         pnd_reads = ("profile", "fixed_position", "tail_tol", "output_path")
         config = {k: v for k, v in config_to_dict(cfg).items() if k in pnd_reads}
-        payload = (
-            json.dumps(
-                {
-                    "metadata": {
-                        "version": __version__,
-                        "separation": args.separation,
-                        "config": config,
-                    },
-                    "n_max": pnd.n_max,
-                    "tail_mass": pnd.tail_mass,
-                    "p": pnd.p.tolist(),
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        metadata = {"version": __version__, "separation": args.separation, "config": config}
+        doc = dict(metadata=metadata, n_max=pnd.n_max, tail_mass=pnd.tail_mass, p=pnd.p.tolist())
+        payload = json_text(doc)
     write_output(cfg.output_path, payload)
     print(f"wrote joint distribution (n_max={pnd.n_max}) to {cfg.output_path}")
     return EXIT_OK

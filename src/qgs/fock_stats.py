@@ -332,6 +332,8 @@ def classical_g2_closed(p: TwoPointParams) -> float:
     """
     i1 = abs(p.mu1) ** 2 + p.n1
     i2 = abs(p.mu2) ** 2 + p.n2
+    if not i1 * i2 > 0:  # near 1e-300 each, as in classical_g2
+        raise PrecisionLossError("the product of the mean intensities underflows")
     cross = (
         i1 * i2
         + p.g * p.g * p.n1 * p.n2

@@ -5,6 +5,9 @@ the joint photon-number distribution once per position and deriving the
 wavepacket correlations for every requested (N, M) pair plus the
 classical intensity correlation.  Positions are independent tasks;
 output order is deterministic regardless of the worker pool.
+
+A scan row is a dict keyed by its output column and written as built;
+csv_table and json_text hold the two file formats every command writes.
 """
 
 from __future__ import annotations
@@ -88,80 +91,60 @@ class ScanConfig:
             )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One (separation, pair) result."""
+def _scan_position(cfg: ScanConfig, sep: float) -> list[dict]:
+    """The rows of one detector-2 position, one column dict per pair.
 
-    separation: float
-    pair: tuple
-    g2_tilde: float | None
-    log2_g2_tilde: float | None
-    classical_g2: float | None
-    tail_mass: float | None
-    flags: tuple = ()
-
-
-def separations(cfg: ScanConfig) -> np.ndarray:
-    return np.linspace(cfg.scan_min, cfg.scan_max, cfg.steps)
-
-
-def _scan_position(cfg: ScanConfig, sep: float):
-    """All rows for one detector-2 position."""
+    An uncertified position keeps its rows, with no numbers and the reason as a flag.
+    """
     s1 = cfg.fixed_position
     params = two_point_params(cfg.profile, s1, s1 + sep)
-    base_flags = ("degenerate-g",) if params.is_degenerate else ()
+    flags = ["degenerate-g"] if params.is_degenerate else []
     # at least 16: at a dim position, the smallest certified truncation is 2e-4 off classical_g2
     floor = max(map(max, DEFAULT_PAIRS + tuple(cfg.pairs)))
+    pnd = cls = tail = None
     try:
         pnd = joint_pnd(params, floor, tail_tol=cfg.tail_tol)
-        cls = classical_g2(pnd)
-    except (TruncationError, PrecisionLossError) as exc:
-        flag = "truncation-unmet" if isinstance(exc, TruncationError) else "precision-loss"
-        return [
-            ScanRow(sep, tuple(pair), None, None, None, None, base_flags + (flag,))
-            for pair in cfg.pairs
-        ]
+        cls, tail = classical_g2(pnd), pnd.tail_mass
+    except TruncationError:
+        flags.append("truncation-unmet")
+    except PrecisionLossError:
+        flags.append("precision-loss")
     rows = []
-    for pair in cfg.pairs:
-        n, m = pair
-        flags = base_flags
-        g2 = None
-        log2g2 = None
-        try:
-            g2 = wavepacket_g2(pnd, n, m)
-        except InsufficientCountsError:
-            flags = flags + ("marginal-floor",)
-        if g2 is not None:
-            if g2 > 0:
-                log2g2 = math.log2(g2)
+    for n, m in cfg.pairs:
+        row_flags = list(flags)
+        g2 = log2g2 = None
+        if cls is not None:
+            try:
+                g2 = wavepacket_g2(pnd, n, m)
+            except InsufficientCountsError:
+                row_flags.append("marginal-floor")
             else:
-                flags = flags + ("log-undefined",)
-        rows.append(
-            ScanRow(sep, (n, m), g2, log2g2, cls, pnd.tail_mass, flags)
-        )
+                if g2 > 0:
+                    log2g2 = math.log2(g2)
+                else:
+                    row_flags.append("log-undefined")
+        rows.append(dict(separation=sep, N=n, M=m, g2_tilde=g2, log2_g2_tilde=log2g2,
+                         classical_g2=cls, tail_mass=tail, flags=row_flags))
     return rows
 
 
-def _scan_task(args):
-    cfg, sep = args
-    return _scan_position(cfg, sep)
+def run_scan(cfg: ScanConfig, n_workers: int) -> list[dict]:
+    """Every row of a configuration as a column dict, ordered by (position, pair).
 
-
-def run_scan(cfg: ScanConfig, n_workers: int):
-    """Compute every ScanRow of a configuration, ordered by (position, pair).
-
-    The name and the position of n_workers are kept for bench/tracing.py,
-    which wraps qgs.cli.run_scan and reads the worker count from the call.
+    The columns are separation, N, M, g2_tilde, log2_g2_tilde, classical_g2,
+    tail_mass (None where not computed) and the list of flags.  The name and
+    the position of n_workers are kept for bench/tracing.py, which wraps
+    qgs.cli.run_scan and reads the worker count from the call.
     """
-    tasks = [(cfg, float(s)) for s in separations(cfg)]
-    if n_workers > 1 and len(tasks) > 1:
+    seps = np.linspace(cfg.scan_min, cfg.scan_max, cfg.steps).tolist()
+    if n_workers > 1:
         # imported here: one-worker runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            per_position = list(pool.map(_scan_task, tasks, chunksize=1))
+            per_position = list(pool.map(_scan_position, [cfg] * len(seps), seps, chunksize=1))
     else:
-        per_position = [_scan_task(t) for t in tasks]
+        per_position = map(_scan_position, [cfg] * len(seps), seps)
     return [row for group in per_position for row in group]
 
 
@@ -191,12 +174,6 @@ def default_profile(target: float = 1.7) -> BeamProfile:
 def default_config(**overrides) -> ScanConfig:
     cfg = ScanConfig(profile=default_profile())
     return replace(cfg, **overrides) if overrides else cfg
-
-
-def _fmt_float(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
 
 
 def config_to_dict(cfg: ScanConfig) -> dict:
@@ -263,22 +240,32 @@ def write_output(path: str, payload: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _row_doc(r: ScanRow) -> dict:
-    """One scan row keyed by its output column, in column order."""
-    return {
-        "separation": r.separation,
-        "N": r.pair[0],
-        "M": r.pair[1],
-        "g2_tilde": r.g2_tilde,
-        "log2_g2_tilde": r.log2_g2_tilde,
-        "classical_g2": r.classical_g2,
-        "tail_mass": r.tail_mass,
-        "flags": list(r.flags),
-    }
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return ";".join(value) if isinstance(value, list) else format(value, ".17g")
 
 
-def _csv_field(value) -> str:
-    return ";".join(value) if isinstance(value, list) else _fmt_float(value)
+def csv_table(rows: list[dict]) -> str:
+    """CSV of column dicts under their keys: .17g numbers, None empty, flags joined by ';'."""
+    lines = [",".join(rows[0])] + [",".join(map(_csv_cell, r.values())) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _strict(obj):
+    """obj with every non-finite float replaced by None, tuples as lists."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def json_text(doc) -> str:
+    """Strict JSON text of doc, indented by 2: NaN and infinities become null."""
+    return json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
 
 
 def output_format(path: str) -> str:
@@ -286,19 +273,18 @@ def output_format(path: str) -> str:
     return "json" if path.endswith(".json") else "csv"
 
 
-def emit(rows, fmt: str, path: str, cfg: ScanConfig) -> None:
-    """Write rows as CSV or JSON with full-precision floats.
+def emit(rows: list[dict], fmt: str, path: str, cfg: ScanConfig) -> None:
+    """Write scan rows as CSV or JSON; JSON metadata omits mc, which no row depends on.
 
     The argument order is kept for bench/tracing.py, which wraps
     qgs.cli.emit and sizes the file named by its third argument.
     """
-    docs = [_row_doc(r) for r in rows]
     if fmt == "csv":
-        lines = [",".join(docs[0])] + [",".join(map(_csv_field, d.values())) for d in docs]
-        payload = "\n".join(lines) + "\n"
+        payload = csv_table(rows)
     else:
-        doc = {"metadata": {"version": __version__, "config": config_to_dict(cfg)}, "rows": docs}
-        payload = json.dumps(doc, indent=2) + "\n"
+        config = {k: v for k, v in config_to_dict(cfg).items() if k != "mc"}
+        metadata = {"version": __version__, "config": config}
+        payload = json_text({"metadata": metadata, "rows": rows})
     write_output(path, payload)
 
 
@@ -312,10 +298,8 @@ def validate(cfg: ScanConfig) -> dict:
     seps = [cfg.scan_min, 0.5 * (cfg.scan_min + cfg.scan_max), cfg.scan_max]
     # every separation is reduced and certified before the first sample,
     # so a failure at a later one costs no sampling
-    params = [
-        two_point_params(cfg.profile, cfg.fixed_position, cfg.fixed_position + sep)
-        for sep in seps
-    ]
+    s1 = cfg.fixed_position
+    params = [two_point_params(cfg.profile, s1, s1 + sep) for sep in seps]
     pnds = [joint_pnd(p, 0, tail_tol=cfg.tail_tol) for p in params]
     results = []
     for i, (sep, p, pnd) in enumerate(zip(seps, params, pnds)):

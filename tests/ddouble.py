@@ -110,38 +110,6 @@ def dd_sqrt(ah, al):
     return fast_two_sum(r, corr)
 
 
-def dd_npow(xh, xl, n: int):
-    """Integer power by binary exponentiation, n >= 0."""
-    rh, rl = 1.0, 0.0
-    bh, bl = xh, xl
-    m = n
-    while m > 0:
-        if m & 1:
-            rh, rl = dd_mul(rh, rl, bh, bl)
-        m >>= 1
-        if m:
-            bh, bl = dd_mul(bh, bl, bh, bl)
-    return rh, rl
-
-
-def dd_sum_pairwise(hh: np.ndarray, ll: np.ndarray):
-    """Pairwise double-double reduction of arrays of limbs.
-
-    Returns the (hi, lo) sum.  Pairwise order keeps the worst-case
-    rounding growth logarithmic in the length.
-    """
-    hh = np.asarray(hh, dtype=float).ravel()
-    ll = np.asarray(ll, dtype=float).ravel()
-    if hh.size == 0:
-        return 0.0, 0.0
-    while hh.size > 1:
-        if hh.size & 1:
-            hh = np.append(hh, 0.0)
-            ll = np.append(ll, 0.0)
-        hh, ll = dd_add(hh[0::2], ll[0::2], hh[1::2], ll[1::2])
-    return float(hh[0]), float(ll[0])
-
-
 class DDSum:
     """Compensated accumulator with cancellation-loss tracking.
 
@@ -160,11 +128,6 @@ class DDSum:
     def add(self, th: float, tl: float = 0.0) -> None:
         self.hi, self.lo = dd_add(self.hi, self.lo, th, tl)
         self.abs_sum += abs(th)
-
-    def add_array(self, hh: np.ndarray, ll: np.ndarray) -> None:
-        th, tl = dd_sum_pairwise(hh, ll)
-        self.hi, self.lo = dd_add(self.hi, self.lo, th, tl)
-        self.abs_sum += float(np.sum(np.abs(hh)))
 
     def value(self) -> float:
         return self.hi

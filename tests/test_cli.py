@@ -198,6 +198,18 @@ def test_vacuum_beam_validates_without_warning(tmp_path):
     assert [r["report"]["max_abs_z"] for r in results] == [0.0] * 3
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def test_validate_report_is_strict_json(tmp_path):
+    # with 10 samples no cell qualifies, so max_abs_z is NaN in the report
+    report = tmp_path / "r.json"
+    assert main(["validate", "--samples", "10", "--report", str(report)]) == 1
+    results = json.loads(report.read_text(), parse_constant=reject_constant)["results"]
+    assert [r["report"]["max_abs_z"] for r in results] == [None] * 3
+
+
 def test_dim_beam_rows_flag_marginal_floor(tmp_path):
     # far out on the beam p1(16) p2(16) underflows to 0
     out = tmp_path / "scan.csv"
@@ -245,6 +257,17 @@ def test_scan_json_has_the_csv_rows(tmp_path):
                 assert row[key] == ""
             else:
                 assert float(row[key]) == value
+
+
+def test_scan_json_records_only_what_scan_read(tmp_path):
+    # the Monte Carlo settings change no scan row
+    out = tmp_path / "s.json"
+    assert main(["scan", "--steps", "2", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["metadata"]["config"]
+    assert list(config) == [
+        "profile", "fixed_position", "scan_min", "scan_max", "steps", "pairs", "tail_tol",
+        "output_path",
+    ]
 
 
 def test_pnd_json_is_normalized(tmp_path):
@@ -474,3 +497,51 @@ def test_import_loads_no_scipy():
 def test_cli_import_loads_no_process_pool():
     # a pool's modules load only on the multi-worker branch that uses them
     run_fresh("import qgs.cli, sys; assert 'concurrent.futures.process' not in sys.modules")
+
+
+
+N_PEAKS = ("1e-300", "1e-3", "1", "1e300")
+MU_PEAKS = ("0", "1e-200", "1", "1e150")
+SIGMAS = ("1e-300", "1", "1e300")
+SHAPES = [
+    ["--mu-peak", mu, "--sigma0", s0, "--sigma1", s1]
+    for mu in MU_PEAKS
+    for s0 in SIGMAS
+    for s1 in SIGMAS
+]
+BEAMS = [
+    ["--n-peak", n, *shape, "--fixed-position", x]
+    for n in N_PEAKS
+    for shape in SHAPES
+    for x in ("0", "1e3")
+]
+
+
+def test_input_domain_sweep(tmp_path, monkeypatch):
+    # every beam of the grid ends in a typed exit, and a successful run
+    # writes a number or a flag in every row and a normalized distribution
+    monkeypatch.chdir(tmp_path)
+    codes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beam in BEAMS:
+            code = main(["scan", *beam, "--steps", "3", "--out", "s.json"])
+            assert code in (0, 2, 3), beam
+            if code == 0:
+                doc = json.loads(Path("s.json").read_text(), parse_constant=reject_constant)
+                assert all(r["g2_tilde"] is not None or r["flags"] for r in doc["rows"]), beam
+            codes.add(code)
+            code = main(["pnd", *beam, "--separation", "1", "--out", "p.json"])
+            assert code in (0, 2, 3), beam
+            if code == 0:
+                doc = json.loads(Path("p.json").read_text(), parse_constant=reject_constant)
+                assert abs(np.sum(doc["p"]) + doc["tail_mass"] - 1.0) <= 1e-12, beam
+            codes.add(code)
+        for shape in SHAPES:
+            assert main(["fit-g2", *shape, "--target", "1.5"]) in (0, 2), shape
+        for n in N_PEAKS:
+            for mu in MU_PEAKS:
+                argv = ["validate", "--n-peak", n, "--mu-peak", mu, "--samples", "2000"]
+                assert main([*argv, "--report", "r.json"]) in (0, 1, 2, 3), argv
+    # the grid reaches every outcome
+    assert codes == {0, 2, 3}

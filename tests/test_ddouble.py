@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +11,7 @@ from ddouble import (
     dd_add,
     dd_div,
     dd_mul,
-    dd_npow,
     dd_sqrt,
-    dd_sum_pairwise,
     two_prod,
     two_sum,
 )
@@ -65,22 +62,6 @@ def test_dd_sqrt():
     assert abs(got * got - 2) < Fraction(1, 10**30)
 
 
-def test_dd_npow():
-    rh, rl = dd_npow(3.0, 0.0, 7)
-    assert rh == 3.0**7
-    rh, rl = dd_npow(10.0, 0.0, 0)
-    assert (rh, rl) == (1.0, 0.0)
-
-
-def test_pairwise_sum_matches_fsum():
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(1001) * 10.0 ** rng.integers(-8, 8, 1001)
-    h, l = dd_sum_pairwise(vals, np.zeros_like(vals))
-    exact = sum(Fraction(v) for v in vals)
-    got = Fraction(h) + Fraction(l)
-    assert abs(got - exact) <= abs(exact) * Fraction(1, 10**25)
-
-
 def test_ddsum_cancellation_certification():
     acc = DDSum()
     # 1e16 - 1e16 + 1 loses ~16 digits relative to the magnitudes seen
@@ -98,8 +79,3 @@ def test_ddsum_no_cancellation():
         acc.add(v)
     assert acc.loss_digits() == pytest.approx(0.0, abs=1e-12)
 
-
-def test_ddsum_array_accumulation():
-    acc = DDSum()
-    acc.add_array(np.array([1.0, 1e-20, -1.0]), np.zeros(3))
-    assert acc.value() == pytest.approx(1e-20, rel=1e-25)

@@ -503,3 +503,8 @@ class TestClassicalG2:
         assert pnd.p[1, 0] > 0 and pnd.p[0, 1] > 0
         with pytest.raises(PrecisionLossError, match="underflows"):
             classical_g2(pnd)
+
+    def test_closed_form_underflowing_intensity_product_is_precision_loss(self):
+        p = TwoPointParams(n1=1e-300, n2=1e-300, g=1.0, mu1=0j, mu2=0j)
+        with pytest.raises(PrecisionLossError, match="underflows"):
+            classical_g2_closed(p)

@@ -1,8 +1,10 @@
-"""Scan configuration round trip, worker-pool row order and the g2 fit."""
+"""Scan configuration round trip, worker-pool row order, strict JSON and the g2 fit."""
 
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qgs.errors import ConfigError
@@ -14,6 +16,7 @@ from qgs.scan import (
     default_config,
     default_profile,
     fit_g2_zero,
+    json_text,
     run_scan,
 )
 from qgs.source_model import two_point_params
@@ -52,6 +55,24 @@ def test_rows_independent_of_workers():
     rows = run_scan(cfg, n_workers=1)
     assert len(rows) == 3 * len(cfg.pairs)
     assert run_scan(cfg, n_workers=2) == rows
+
+
+def test_json_text_writes_non_finite_numbers_as_null():
+    def reject(name):
+        raise ValueError(f"non-standard JSON token {name}")
+
+    doc = {
+        "a": math.nan,
+        "b": (1.5, math.inf, [-math.inf, {"c": np.float64("-inf"), "d": (0.25,)}]),
+        "e": [None, "x", 3, True],
+    }
+    text = json_text(doc)
+    assert text.endswith("}\n")
+    assert json.loads(text, parse_constant=reject) == {
+        "a": None,
+        "b": [1.5, None, [None, {"c": None, "d": [0.25]}]],
+        "e": [None, "x", 3, True],
+    }
 
 
 @pytest.mark.parametrize("target", [1.0001, 1.3, 1.7, 1.9999])
