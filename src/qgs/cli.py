@@ -9,9 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical-certification failure.  Each command accepts only the
-settings it reads.  An option overrides the field of the same name in
-ScanConfig, BeamProfile or MCSettings, taken from --config or the
-defaults; the worker count follows the same rule.  An output path
+settings it reads.  A setting comes from the defaults, then the --config
+file, then its option, the later winning; the file is a JSON object laid
+out as config_to_dict writes it, holding any subset of the settings.  An
+integer setting refuses a bool or a number with a fraction, and mu_peak
+is [re], [re, im] or a number (re or re,im as an option).  An output path
 (scan's and pnd's --out) ending in .json gets JSON, any other gets CSV.
 Every JSON output is strict JSON: a non-finite number, such as a
 validate report's max_abs_z when no cell qualifies, is written as null.
@@ -23,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import __version__
 from .errors import CertificationError, ConfigError, QgsError
@@ -51,68 +53,39 @@ EXIT_CONFIG = 2
 EXIT_CERTIFICATION = 3
 
 
-def _parse_pairs(text: str):
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            n, m = (int(v) for v in chunk.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad pair {chunk!r}; expected N,M") from exc
-        pairs.append((n, m))
-    if not pairs:
-        raise ConfigError("no pairs given")
-    return tuple(pairs)
-
-
-def _parse_complex_pair(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"bad complex value {text!r}; expected re or re,im") from exc
-    raise ConfigError(f"bad complex value {text!r}; expected re or re,im")
-
-
-def _override(obj, given: dict):
-    """obj with each field that given names set to given's value."""
-    updates = {f.name: given[f.name] for f in fields(obj) if f.name in given}
-    return replace(obj, **updates) if updates else obj
+def _merge(doc: dict, update, where: str) -> None:
+    """Set doc's entries from update's, section by section; each level is a JSON object."""
+    if not isinstance(update, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(update).__name__}")
+    for key, value in update.items():
+        if isinstance(doc.get(key), dict):
+            _merge(doc[key], value, key)
+        else:
+            doc[key] = value
 
 
 def _load_config(args) -> ScanConfig:
-    """The --config file or the defaults, overridden by every option given.
+    """The defaults, then the --config file, then every option given.
 
     bench/invoke.py wraps this function by name to time the end of set-up.
     """
+    doc = config_to_dict(default_config())
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                found = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        cfg = config_from_dict(doc)
-    else:
-        cfg = default_config()
-
+        _merge(doc, found, f"config {args.config}")
     given = {k: v for k, v in vars(args).items() if v is not None}
-    if "mu_peak" in given:
-        given["mu_peak"] = _parse_complex_pair(given["mu_peak"])
-    if "pairs" in given:
-        given["pairs"] = _parse_pairs(given["pairs"])
-    given["profile"] = _override(cfg.profile, given)
-    given["mc"] = _override(cfg.mc, given)
-    return _override(cfg, given)
+    for section in (doc, doc["profile"], doc["mc"]):
+        section.update({k: given[k] for k in section if k in given})
+    return config_from_dict(doc)
 
 
 def _add_beam(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--mu-peak", dest="mu_peak", help="re or re,im")
+    parser.add_argument("--mu-peak", type=lambda t: t.split(","), help="re or re,im")
     parser.add_argument("--sigma0", type=float)
     parser.add_argument("--sigma1", type=float)
 
@@ -142,7 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="run a separation scan")
     _add_range(p_scan)
     p_scan.add_argument("--steps", type=int)
-    p_scan.add_argument("--pairs", help="semicolon-separated N,M pairs")
+    p_scan.add_argument(
+        "--pairs",
+        type=lambda t: [p.split(",") for p in t.split(";") if p.strip()],
+        help="semicolon-separated N,M pairs",
+    )
     p_scan.add_argument("--out", dest="output_path", help="output path")
 
     p_val = sub.add_parser("validate", help="compare analytic and Monte Carlo routes")
@@ -151,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument(
         "--samples", dest="n_samples", type=int, help="Monte Carlo samples per separation"
     )
-    p_val.add_argument("--report", help="path for the JSON report")
+    p_val.add_argument("--report", default="validate_report.json", help="JSON report path")
 
     p_fit = sub.add_parser("fit-g2", help="fit n_peak to a target g2(0)")
     _add_beam(p_fit)
@@ -160,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pnd = sub.add_parser("pnd", help="dump the joint distribution at one separation")
     _add_engine(p_pnd)
     p_pnd.add_argument("--separation", type=float, required=True)
-    p_pnd.add_argument("--out", default="pnd.csv", help="output path")
+    p_pnd.add_argument("--out", dest="output_path", default="pnd.csv", help="output path")
     return parser
 
 
@@ -179,10 +156,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
-    report_path = args.report or "validate_report.json"
-    check_writable(report_path)
+    check_writable(args.report)
     doc = validate(cfg)
-    write_output(report_path, json_text(doc))
+    write_output(args.report, json_text(doc))
     for res in doc["results"]:
         rep = res["report"]
         verdict = "pass" if rep["passed"] else "FAIL"
@@ -190,7 +166,7 @@ def _cmd_validate(args) -> int:
             f"separation {res['separation']:g}: {verdict} (tv={rep['tv_distance']:.2e}, "
             f"failing z cells {rep['n_failing']}/{rep['n_qualifying']})"
         )
-    print(f"report written to {report_path}")
+    print(f"report written to {args.report}")
     return EXIT_OK if doc["passed"] else EXIT_VALIDATION
 
 
@@ -202,8 +178,8 @@ def _cmd_fit_g2(args) -> int:
 
 
 def _cmd_pnd(args) -> int:
-    # the JSON metadata records the file this run wrote, never the scan's
-    cfg = replace(_load_config(args), output_path=args.out)
+    # --out has a default, so pnd never writes to a scan's output_path from --config
+    cfg = _load_config(args)
     if not math.isfinite(args.separation):
         raise ConfigError(f"separation must be finite, got {args.separation}")
     check_writable(cfg.output_path)

@@ -24,6 +24,7 @@ count histogram masks overflowing draws only in a block that has one.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,11 +148,13 @@ def empirical_pnd(
     sample and worker counts, ScanConfig the seed range.
     """
     tasks = [(params, seed, b, c) for b, c in _block_plan(n_samples)]
-    if n_workers > 1 and len(tasks) > 1:
+    # a pool forks all its workers at the first task: none beyond the tasks or the CPUs
+    workers = min(n_workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: one-worker runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_count_block, tasks, chunksize=4))
     else:
         blocks = [_count_block(t) for t in tasks]

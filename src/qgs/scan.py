@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     InsufficientCountsError,
     PrecisionLossError,
+    QgsError,
     TruncationError,
 )
 from .fock_stats import HARD_CAP, classical_g2, joint_pnd, wavepacket_g2
@@ -137,11 +138,13 @@ def run_scan(cfg: ScanConfig, n_workers: int) -> list[dict]:
     qgs.cli.run_scan and reads the worker count from the call.
     """
     seps = np.linspace(cfg.scan_min, cfg.scan_max, cfg.steps).tolist()
-    if n_workers > 1:
+    # a pool forks all its workers at the first task: none beyond the tasks or the CPUs
+    workers = min(n_workers, len(seps), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: one-worker runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_position = list(pool.map(_scan_position, [cfg] * len(seps), seps, chunksize=1))
     else:
         per_position = map(_scan_position, [cfg] * len(seps), seps)
@@ -184,30 +187,50 @@ def config_to_dict(cfg: ScanConfig) -> dict:
     return doc
 
 
+def _int(v) -> int:
+    """An integer setting; a bool or a number with a fraction is refused, not rounded."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _complex(v) -> complex:
-    return complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+    """mu_peak from [re], [re, im] or a number."""
+    parts = v if isinstance(v, (list, tuple)) else [v]
+    if len(parts) not in (1, 2):
+        raise ValueError(f"expected [re], [re, im] or a number, got {v!r}")
+    return complex(*map(float, parts))
 
 
 def _build(cls, doc):
     """cls from the entries of doc, each coerced to the type of its field.
 
-    An entry that names no field of cls is a ConfigError, so a misspelt
-    setting is never replaced by its default without a word.
+    An entry that names no field of cls, or that its coercion refuses, is a
+    ConfigError naming it: a misspelt setting never silently takes its default.
     """
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} setting {', '.join(unknown)}")
-    return cls(**{f.name: _COERCE[f.type](doc[f.name]) for f in fields(cls) if f.name in doc})
+    values = {}
+    for name, value in doc.items():
+        try:
+            values[name] = _COERCE[types[name]](value)
+        except QgsError:  # ConfigError and DomainError are ValueErrors: pass them on as raised
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {name}: {exc}") from exc
+    return cls(**values)
 
 
-# keyed by the field annotations as written (they stay strings under
-# `from __future__ import annotations`)
+# the one coercion of every setting, from a file or an option, keyed by the
+# field annotations as written (strings under `from __future__ import annotations`)
 _COERCE = {
     "float": float,
-    "int": int,
+    "int": _int,
     "str": str,
     "complex": _complex,
-    "tuple": lambda v: tuple(tuple(int(x) for x in pair) for pair in v),  # pairs
+    "tuple": lambda v: tuple((_int(n), _int(m)) for n, m in v),  # pairs
     "BeamProfile": lambda v: _build(BeamProfile, v),
     "MCSettings": lambda v: _build(MCSettings, v),
 }
@@ -215,10 +238,7 @@ _COERCE = {
 
 def config_from_dict(doc: dict) -> ScanConfig:
     """Inverse of config_to_dict; absent entries take the dataclass defaults."""
-    try:
-        return _build(ScanConfig, doc)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    return _build(ScanConfig, doc)
 
 
 def check_writable(path: str) -> None:

@@ -370,6 +370,74 @@ def test_zero_workers_is_config_error_from_any_source(tmp_path, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"steps": 2.7}', "invalid steps"),
+        (b'{"steps": true}', "invalid steps"),
+        (b'{"pairs": [[0.9, 1]]}', "invalid pairs"),
+        (b'{"profile": {"mu_peak": [1, 2, 3]}}', "invalid mu_peak"),
+        (b'{"mc": {"n_workers": 2.5}}', "invalid n_workers"),
+        (b"[1, 2]", "config config.json must be a JSON object"),
+        (b'{"mc": null}', "mc must be a JSON object"),
+        (b"\xff\xfe", "cannot read config config.json"),
+    ],
+    ids=["steps", "steps-bool", "pairs", "mu-peak", "workers", "document", "mc-null", "not-utf8"],
+)
+def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, text, message):
+    # a file value is refused as the option of the same setting is, never rounded
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_bytes(text)
+    assert main(["scan", "--config", "config.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+# one case per setting an option reaches: the option and the same setting in a file
+FLAG_AND_FILE = [
+    pytest.param("scan", ["--n-peak", "1.5"], {"profile": {"n_peak": 1.5}}, id="n_peak"),
+    pytest.param("scan", ["--mu-peak", "0.5,-0.25"], {"profile": {"mu_peak": [0.5, -0.25]}},
+                 id="mu_peak"),
+    pytest.param("scan", ["--sigma0", "3"], {"profile": {"sigma0": 3}}, id="sigma0"),
+    pytest.param("scan", ["--sigma1", "2.5"], {"profile": {"sigma1": 2.5}}, id="sigma1"),
+    pytest.param("scan", ["--fixed-position", "0.5"], {"fixed_position": 0.5},
+                 id="fixed_position"),
+    pytest.param("scan", ["--tail-tol", "1e-8"], {"tail_tol": 1e-8}, id="tail_tol"),
+    pytest.param("scan", ["--scan-min", "0.5"], {"scan_min": 0.5}, id="scan_min"),
+    pytest.param("scan", ["--scan-max", "3"], {"scan_max": 3}, id="scan_max"),
+    pytest.param("scan", ["--workers", "2"], {"mc": {"n_workers": 2}}, id="n_workers"),
+    pytest.param("scan", ["--steps", "5"], {"steps": 5}, id="steps"),
+    pytest.param("scan", ["--pairs", "1,1;16,1"], {"pairs": [[1, 1], [16, 1]]}, id="pairs"),
+    pytest.param("scan", ["--out", "s.json"], {"output_path": "s.json"}, id="output_path"),
+    pytest.param("validate", ["--seed", "7"], {"mc": {"seed": 7}}, id="seed"),
+    pytest.param("validate", ["--samples", "1000"], {"mc": {"n_samples": 1000}}, id="n_samples"),
+]
+
+
+@pytest.mark.parametrize("command, option, in_file", FLAG_AND_FILE)
+def test_option_and_file_agree(tmp_path, command, option, in_file):
+    def load(*argv):
+        return _load_config(build_parser().parse_args([command, *argv]))
+
+    def config_file(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    from_option = load(*option)
+    assert from_option != default_config()
+    from_file = load("--config", config_file("one.json", in_file))
+    assert from_file == from_option
+    # a partial file takes every other setting from the defaults
+    want = config_to_dict(default_config())
+    for key, value in in_file.items():
+        want[key] = {**want[key], **value} if isinstance(value, dict) else value
+    assert json.loads(json.dumps(config_to_dict(from_file))) == json.loads(json.dumps(want))
+    # an option wins over the file
+    full = config_file("full.json", config_to_dict(default_config()))
+    assert load("--config", full, *option) == from_option
+
+
 def test_perturbed_validation_fails(tmp_path, monkeypatch):
     def perturbed(*args, **kwargs):
         # move 20000 counts from the fullest cell into cell (3, 3)
@@ -450,11 +518,13 @@ def test_each_command_takes_only_the_options_it_reads():
     for name, parser in commands.items():
         actions = [a for a in parser._actions if a.dest != "help"]
         assert [opt for a in actions for opt in a.option_strings] == OPTIONS[name]
-        own = {"config", "target", "separation", "report"} | ({"out"} if name == "pnd" else set())
+        own = {"config", "target", "separation", "report"}
         assert {a.dest for a in actions} - own <= settings, name
         dests |= {a.dest for a in actions}
     # no setting is reachable from a config file alone
     assert settings <= dests
+    # and each has a case in test_option_and_file_agree
+    assert {case.id for case in FLAG_AND_FILE} == settings
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,13 @@
 and compare's verdict on constructed count matrices."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qgs import mc_oracle
 from qgs.errors import DomainError
 from qgs.fock_stats import JointPND
 from qgs.mc_oracle import EmpiricalPND, _block_fields, _block_rng, compare, empirical_pnd
@@ -52,6 +54,36 @@ def test_overflow_counted_and_worker_invariant():
     assert runs[0].counts.sum() + runs[0].overflow_count == n
     assert np.array_equal(runs[1].counts, runs[0].counts)
     assert runs[1].overflow_count == runs[0].overflow_count
+
+
+@pytest.mark.parametrize(
+    "n_blocks, n_workers, cpus, sizes",
+    [
+        (2, 4, 8, [2]),  # no more workers than blocks
+        (92, 2, 8, [2]),  # 6e6 samples
+        (92, 4, 3, [3]),  # no more workers than CPUs
+        (92, 4, 1, []),
+        (92, 4, None, []),  # an unknown CPU count counts as one
+        (1, 4, 8, []),
+    ],
+)
+def test_sampling_pool_is_capped(pool_sizes, monkeypatch, n_blocks, n_workers, cpus, sizes):
+    # the cap changes the pool only: every block, with its own seed, is still counted once
+    seen = []
+
+    def count_block(task):
+        seen.append(task[1:])
+        return np.array([[task[3]]], dtype=np.int64), 0
+
+    monkeypatch.setattr(mc_oracle, "_count_block", count_block)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    n = (n_blocks - 1) * mc_oracle._BLOCK + 17
+    p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
+    emp = empirical_pnd(p, n, 99, n_workers)
+    assert pool_sizes == sizes
+    plan = [(99, b, mc_oracle._BLOCK) for b in range(n_blocks - 1)] + [(99, n_blocks - 1, 17)]
+    assert seen == plan
+    assert emp.counts.tolist() == [[n]]
 
 
 def test_default_beam_never_overflows():

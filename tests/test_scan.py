@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,25 @@ def test_rows_independent_of_workers():
     rows = run_scan(cfg, n_workers=1)
     assert len(rows) == 3 * len(cfg.pairs)
     assert run_scan(cfg, n_workers=2) == rows
+
+
+@pytest.mark.parametrize(
+    "steps, n_workers, cpus, sizes",
+    [
+        (2, 4, 8, [2]),  # no more workers than positions
+        (5, 2, 8, [2]),
+        (5, 4, 3, [3]),  # no more workers than CPUs
+        (5, 4, 1, []),
+        (5, 4, None, []),  # an unknown CPU count counts as one
+        (5, 1, 8, []),
+    ],
+)
+def test_scan_pool_is_capped(pool_sizes, monkeypatch, steps, n_workers, cpus, sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = default_config(steps=steps)
+    rows = run_scan(cfg, n_workers)
+    assert pool_sizes == sizes
+    assert rows == run_scan(cfg, 1)
 
 
 def test_json_text_writes_non_finite_numbers_as_null():
