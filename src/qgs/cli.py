@@ -9,11 +9,13 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical-certification failure.  Each command accepts only the
-settings it reads.  A setting comes from the defaults, then the --config
-file, then its option, the later winning; the file is a JSON object laid
-out as config_to_dict writes it, holding any subset of the settings.  An
-integer setting refuses a bool or a number with a fraction, and mu_peak
-is [re], [re, im] or a number (re or re,im as an option).  An output path
+settings it reads.  Only validate forks: one pool of up to --workers
+processes for its whole run; scan computes in this process.  A setting
+comes from the defaults, then the --config file, then its option, the
+later winning; the file is a JSON object laid out as config_to_dict
+writes it, holding any subset of the settings.  An integer setting
+refuses a bool or a number with a fraction, and mu_peak is [re],
+[re, im] or a number (re or re,im as an option).  An output path
 (scan's and pnd's --out) ending in .json gets JSON, any other gets CSV.
 Every JSON output is strict JSON: a non-finite number, such as a
 validate report's max_abs_z when no cell qualifies, is written as null.
@@ -101,7 +103,7 @@ def _add_range(parser: argparse.ArgumentParser) -> None:
     _add_engine(parser)
     parser.add_argument("--scan-min", dest="scan_min", type=float)
     parser.add_argument("--scan-max", dest="scan_max", type=float)
-    parser.add_argument("--workers", dest="n_workers", type=int)
+    parser.add_argument("--workers", dest="n_workers", type=int, help="processes for validate")
 
 
 def build_parser() -> argparse.ArgumentParser:

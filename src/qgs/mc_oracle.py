@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,26 @@ def _block_fields(p: TwoPointParams, rng: np.random.Generator, count: int) -> np
     return f
 
 
-def _block_plan(n_samples: int):
-    n_blocks = (n_samples + _BLOCK - 1) // _BLOCK
-    for b in range(n_blocks):
-        yield b, min(_BLOCK, n_samples - b * _BLOCK)
+def _block_plan(n_samples: int) -> list:
+    return [(b, min(_BLOCK, n_samples - s)) for b, s in enumerate(range(0, n_samples, _BLOCK))]
+
+
+@contextmanager
+def sampling_pool(n_workers: int, n_samples: int):
+    """The map empirical_pnd counts blocks with: a process pool's, or the builtin map.
+
+    A fork pool starts all its workers at the first task, so it gets none
+    beyond the blocks of one run or the CPUs; one worker is no pool.  Its
+    map hands out one block at a time, so no worker idles at the end.
+    """
+    workers = min(n_workers, len(_block_plan(n_samples)), os.cpu_count() or 1)
+    if workers < 2:
+        yield map
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # one-worker runs never load it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
 
 
 def _count_block(args):
@@ -137,28 +154,16 @@ def _merge_counts(blocks):
     return out, over
 
 
-def empirical_pnd(
-    params: TwoPointParams, n_samples: int, seed: int, n_workers: int = 1
-) -> EmpiricalPND:
+def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, count_map=map) -> EmpiricalPND:
     """Joint count matrix over n_samples independent field-then-count draws.
 
-    Deterministic for a fixed seed and invariant under the worker count:
-    workers process disjoint whole blocks and the merge is a commutative
-    matrix addition.  The caller checks the settings: MCSettings the
-    sample and worker counts, ScanConfig the seed range.
+    Deterministic for a fixed seed and invariant under count_map, a
+    sampling_pool's map: workers process disjoint whole blocks and the merge
+    is a commutative matrix addition.  The caller checks the settings:
+    MCSettings the sample and worker counts, ScanConfig the seed range.
     """
     tasks = [(params, seed, b, c) for b, c in _block_plan(n_samples)]
-    # a pool forks all its workers at the first task: none beyond the tasks or the CPUs
-    workers = min(n_workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: one-worker runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_count_block, tasks, chunksize=4))
-    else:
-        blocks = [_count_block(t) for t in tasks]
-    counts, over = _merge_counts(blocks)
+    counts, over = _merge_counts(list(count_map(_count_block, tasks)))
     return EmpiricalPND(counts=counts, total=n_samples, overflow_count=over, params=params)
 
 

@@ -3,8 +3,8 @@
 A scan fixes detector 1 and walks detector 2 across the beam, computing
 the joint photon-number distribution once per position and deriving the
 wavepacket correlations for every requested (N, M) pair plus the
-classical intensity correlation.  Positions are independent tasks;
-output order is deterministic regardless of the worker pool.
+classical intensity correlation.  A scan computes every position in the
+calling process; only validate forks, one mc_oracle.sampling_pool.
 
 A scan row is a dict keyed by its output column and written as built;
 csv_table and json_text hold the two file formats every command writes.
@@ -29,10 +29,11 @@ from .errors import (
     TruncationError,
 )
 from .fock_stats import HARD_CAP, classical_g2, joint_pnd, wavepacket_g2
-from .mc_oracle import compare, empirical_pnd
+from .mc_oracle import compare, empirical_pnd, sampling_pool
 from .source_model import BeamProfile, two_point_params
 
 DEFAULT_PAIRS = ((0, 0), (1, 1), (5, 5), (8, 8), (16, 16), (5, 1), (8, 1), (16, 1))
+MAX_STEPS = 10_000  # a scan's rows are held in memory until emit writes them
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class MCSettings:
 class ScanConfig:
     """Full description of a scan or validation run.
 
-    Every pair index lies in [0, HARD_CAP], the largest truncation
-    joint_pnd searches; the scan's truncation floor is the largest index of
-    its pairs and DEFAULT_PAIRS (16), and validate and pnd pass 0.
-    Validation samples scan_min, the midpoint and scan_max.
+    A scan has 2 to MAX_STEPS positions.  Every pair index lies in [0, HARD_CAP],
+    the largest truncation joint_pnd searches; the scan's truncation floor is
+    the largest index of its pairs and DEFAULT_PAIRS (16), and validate and
+    pnd pass 0.  Validation samples scan_min, the midpoint and scan_max.
     """
 
     profile: BeamProfile
@@ -75,8 +76,8 @@ class ScanConfig:
             raise ConfigError("positions must be finite")
         if not self.scan_min < self.scan_max:
             raise ConfigError("scan_min must be below scan_max")
-        if self.steps < 2:
-            raise ConfigError("steps must be at least 2")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
         if not self.tail_tol > 0:
             raise ConfigError(f"tail_tol must be positive, got {self.tail_tol}")
         if not self.pairs:
@@ -133,22 +134,12 @@ def run_scan(cfg: ScanConfig, n_workers: int) -> list[dict]:
     """Every row of a configuration as a column dict, ordered by (position, pair).
 
     The columns are separation, N, M, g2_tilde, log2_g2_tilde, classical_g2,
-    tail_mass (None where not computed) and the list of flags.  The name and
-    the position of n_workers are kept for bench/tracing.py, which wraps
-    qgs.cli.run_scan and reads the worker count from the call.
+    tail_mass (None where not computed) and the list of flags.  Every position
+    is computed in this process.  n_workers is not read but keeps its name and
+    place for bench/tracing.py, which wraps qgs.cli.run_scan and reads it.
     """
     seps = np.linspace(cfg.scan_min, cfg.scan_max, cfg.steps).tolist()
-    # a pool forks all its workers at the first task: none beyond the tasks or the CPUs
-    workers = min(n_workers, len(seps), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: one-worker runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_position = list(pool.map(_scan_position, [cfg] * len(seps), seps, chunksize=1))
-    else:
-        per_position = map(_scan_position, [cfg] * len(seps), seps)
-    return [row for group in per_position for row in group]
+    return [row for sep in seps for row in _scan_position(cfg, sep)]
 
 
 def fit_g2_zero(target: float, profile: BeamProfile) -> BeamProfile:
@@ -311,8 +302,8 @@ def emit(rows: list[dict], fmt: str, path: str, cfg: ScanConfig) -> None:
 def validate(cfg: ScanConfig) -> dict:
     """Analytic-versus-Monte-Carlo comparison at scan_min, the midpoint and scan_max.
 
-    Separation i is sampled with seed mc.seed + i, and compare gates each
-    one; the returned report passes when every separation does.
+    Separation i is sampled with seed mc.seed + i in one sampling_pool, and
+    compare gates each one; the report passes when every separation does.
     """
     n_samples, seed = cfg.mc.n_samples, cfg.mc.seed
     seps = [cfg.scan_min, 0.5 * (cfg.scan_min + cfg.scan_max), cfg.scan_max]
@@ -322,11 +313,12 @@ def validate(cfg: ScanConfig) -> dict:
     params = [two_point_params(cfg.profile, s1, s1 + sep) for sep in seps]
     pnds = [joint_pnd(p, 0, tail_tol=cfg.tail_tol) for p in params]
     results = []
-    for i, (sep, p, pnd) in enumerate(zip(seps, params, pnds)):
-        emp = empirical_pnd(p, n_samples, seed + i, cfg.mc.n_workers)
-        report = asdict(compare(pnd, emp))
-        results.append(
-            {"separation": sep, "n_samples": n_samples, "seed": seed + i, "report": report}
-        )
+    with sampling_pool(cfg.mc.n_workers, n_samples) as count_map:
+        for i, (sep, p, pnd) in enumerate(zip(seps, params, pnds)):
+            emp = empirical_pnd(p, n_samples, seed + i, count_map)
+            report = asdict(compare(pnd, emp))
+            results.append(
+                {"separation": sep, "n_samples": n_samples, "seed": seed + i, "report": report}
+            )
     passed = all(r["report"]["passed"] for r in results)
     return {"version": __version__, "passed": passed, "results": results}

@@ -10,6 +10,7 @@ def pool_sizes(monkeypatch):
     """The max_workers of every ProcessPoolExecutor made, in order.
 
     The pool is a stand-in that maps in this process, so no worker is forked.
+    Its map takes no chunksize: tasks go to the workers one at a time.
     """
     sizes = []
 
@@ -23,7 +24,7 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
+        def map(self, fn, *iterables):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)

@@ -98,6 +98,7 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         ["pnd", "--separation", "nan"],
         ["pnd", "--separation", "1e300"],
         ["scan", "--scan-max", "60", "--steps", "3"],
+        ["scan", "--steps", "100000000000000000000"],
     ],
     ids=[
         "mu-peak",
@@ -122,6 +123,7 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         "separation-nan",
         "separation-underflow",
         "position-underflow",
+        "steps-huge",
     ],
 )
 def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
@@ -375,6 +377,7 @@ def test_zero_workers_is_config_error_from_any_source(tmp_path, source):
     [
         (b'{"steps": 2.7}', "invalid steps"),
         (b'{"steps": true}', "invalid steps"),
+        (b'{"steps": 1e20}', "steps must lie in [2, 10000]"),
         (b'{"pairs": [[0.9, 1]]}', "invalid pairs"),
         (b'{"profile": {"mu_peak": [1, 2, 3]}}', "invalid mu_peak"),
         (b'{"mc": {"n_workers": 2.5}}', "invalid n_workers"),
@@ -382,7 +385,10 @@ def test_zero_workers_is_config_error_from_any_source(tmp_path, source):
         (b'{"mc": null}', "mc must be a JSON object"),
         (b"\xff\xfe", "cannot read config config.json"),
     ],
-    ids=["steps", "steps-bool", "pairs", "mu-peak", "workers", "document", "mc-null", "not-utf8"],
+    ids=[
+        "steps", "steps-bool", "steps-huge", "pairs", "mu-peak", "workers", "document", "mc-null",
+        "not-utf8",
+    ],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, text, message):
     # a file value is refused as the option of the same setting is, never rounded
@@ -460,6 +466,29 @@ def test_perturbed_validation_fails(tmp_path, monkeypatch):
     for n, m, z, expected, observed in perturbed:
         assert isinstance(observed, int)
         assert observed - expected > 19000
+
+
+def test_scan_forks_no_pool(tmp_path, monkeypatch, pool_sizes):
+    # --workers is accepted and read by no scan
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"scan-{workers}.csv"
+        assert main(["scan", "--steps", "3", "--workers", workers, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert pool_sizes == []
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "samples, sizes", [("200000", [2]), ("1000", [])], ids=["4-blocks", "1-block"]
+)
+def test_validate_forks_one_pool(tmp_path, monkeypatch, pool_sizes, samples, sizes):
+    # one pool serves all three separations; one block per separation needs none
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    argv = ["validate", "--samples", samples, "--workers", "2"]
+    assert main(argv + ["--report", str(tmp_path / "report.json")]) == 0
+    assert pool_sizes == sizes
 
 
 def test_validate_report_independent_of_workers(tmp_path):

@@ -1,5 +1,5 @@
-"""Monte Carlo sampler: the field-draw rule and worker-count invariance,
-and compare's verdict on constructed count matrices."""
+"""Monte Carlo sampler: the field-draw rule, the frozen sample stream and
+worker-count invariance, and compare's verdict on constructed count matrices."""
 
 import math
 import os
@@ -11,7 +11,14 @@ import pytest
 from qgs import mc_oracle
 from qgs.errors import DomainError
 from qgs.fock_stats import JointPND
-from qgs.mc_oracle import EmpiricalPND, _block_fields, _block_rng, compare, empirical_pnd
+from qgs.mc_oracle import (
+    EmpiricalPND,
+    _block_fields,
+    _block_rng,
+    compare,
+    empirical_pnd,
+    sampling_pool,
+)
 from qgs.scan import default_config
 from qgs.source_model import TwoPointParams, two_point_params
 
@@ -37,9 +44,14 @@ def test_g1_block_locks_fluctuations():
     assert np.max(np.abs(d[2:] - d[:2] * math.sqrt(p.n2 / p.n1))) < 1e-14
 
 
+def sample(p, n_samples, seed, n_workers):
+    with sampling_pool(n_workers, n_samples) as count_map:
+        return empirical_pnd(p, n_samples, seed, count_map)
+
+
 def test_counts_identical_across_worker_counts():
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
-    runs = [empirical_pnd(p, 5 * 65536 + 123, 99, w) for w in (1, 2, 3)]
+    runs = [sample(p, 5 * 65536 + 123, 99, w) for w in (1, 2, 3)]
     for run in runs[1:]:
         assert np.array_equal(run.counts, runs[0].counts)
         assert run.overflow_count == runs[0].overflow_count
@@ -49,7 +61,7 @@ def test_overflow_counted_and_worker_invariant():
     # a mean of 400 photons puts about a quarter of the draws past _COUNT_CAP = 512
     p = TwoPointParams(n1=400.0, n2=0.6, g=0.3, mu1=1.0 + 0j, mu2=0.5j)
     n = 2 * 65536 + 17
-    runs = [empirical_pnd(p, n, 5, w) for w in (1, 2)]
+    runs = [sample(p, n, 5, w) for w in (1, 2)]
     assert runs[0].overflow_count > 0
     assert runs[0].counts.sum() + runs[0].overflow_count == n
     assert np.array_equal(runs[1].counts, runs[0].counts)
@@ -79,11 +91,46 @@ def test_sampling_pool_is_capped(pool_sizes, monkeypatch, n_blocks, n_workers, c
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     n = (n_blocks - 1) * mc_oracle._BLOCK + 17
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
-    emp = empirical_pnd(p, n, 99, n_workers)
+    emp = sample(p, n, 99, n_workers)
     assert pool_sizes == sizes
     plan = [(99, b, mc_oracle._BLOCK) for b in range(n_blocks - 1)] + [(99, n_blocks - 1, 17)]
     assert seen == plan
     assert emp.counts.tolist() == [[n]]
+
+
+# The counts of a run of 2 * 65536 + 17 samples at seed 5, frozen: a change
+# to the draws fails here instead of showing as a new roll of validate's
+# gates at some seed.
+FROZEN_COUNTS = [
+    [22709, 10618, 4683, 2059, 865, 370, 105, 52, 21, 11, 4, 1, 0, 0, 0],
+    [17396, 7994, 3491, 1523, 640, 310, 121, 43, 21, 10, 2, 1, 1, 0, 0],
+    [11982, 5445, 2376, 1062, 468, 214, 100, 46, 18, 5, 1, 2, 0, 0, 0],
+    [7497, 3641, 1739, 739, 349, 176, 71, 32, 21, 10, 0, 2, 0, 0, 1],
+    [4509, 2237, 1184, 580, 251, 116, 63, 25, 7, 4, 5, 1, 0, 1, 0],
+    [2696, 1367, 693, 372, 194, 91, 30, 18, 4, 4, 4, 1, 0, 0, 0],
+    [1432, 853, 437, 240, 118, 60, 26, 13, 6, 0, 1, 3, 0, 0, 2],
+    [807, 497, 282, 176, 82, 52, 19, 14, 4, 4, 0, 0, 0, 0, 0],
+    [428, 288, 177, 88, 44, 24, 15, 6, 1, 1, 1, 0, 0, 0, 0],
+    [218, 137, 114, 60, 30, 20, 5, 5, 2, 3, 0, 0, 0, 1, 0],
+    [129, 96, 64, 49, 17, 9, 6, 2, 0, 1, 0, 0, 0, 0, 0],
+    [56, 61, 32, 20, 9, 10, 6, 2, 0, 0, 0, 0, 0, 0, 0],
+    [30, 22, 19, 8, 4, 7, 3, 1, 1, 1, 0, 0, 0, 0, 0],
+    [19, 7, 9, 5, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [6, 10, 6, 7, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [8, 3, 4, 2, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+    [3, 3, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1],
+    [1, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+]
+
+
+def test_sample_stream_is_frozen():
+    p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
+    emp = empirical_pnd(p, 2 * 65536 + 17, 5)
+    assert emp.overflow_count == 0
+    assert emp.counts.tolist() == FROZEN_COUNTS
 
 
 def test_default_beam_never_overflows():

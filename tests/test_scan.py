@@ -1,8 +1,7 @@
-"""Scan configuration round trip, worker-pool row order, strict JSON and the g2 fit."""
+"""Scan configuration round trip and bounds, strict JSON and the g2 fit."""
 
 import json
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +10,7 @@ import pytest
 from qgs.errors import ConfigError
 from qgs.fock_stats import HARD_CAP, classical_g2_closed
 from qgs.scan import (
+    MAX_STEPS,
     MCSettings,
     config_from_dict,
     config_to_dict,
@@ -18,7 +18,6 @@ from qgs.scan import (
     default_profile,
     fit_g2_zero,
     json_text,
-    run_scan,
 )
 from qgs.source_model import two_point_params
 
@@ -51,30 +50,12 @@ def test_pair_indices_lie_within_hard_cap():
             default_config(pairs=(pair,))
 
 
-def test_rows_independent_of_workers():
-    cfg = default_config(steps=3)
-    rows = run_scan(cfg, n_workers=1)
-    assert len(rows) == 3 * len(cfg.pairs)
-    assert run_scan(cfg, n_workers=2) == rows
-
-
-@pytest.mark.parametrize(
-    "steps, n_workers, cpus, sizes",
-    [
-        (2, 4, 8, [2]),  # no more workers than positions
-        (5, 2, 8, [2]),
-        (5, 4, 3, [3]),  # no more workers than CPUs
-        (5, 4, 1, []),
-        (5, 4, None, []),  # an unknown CPU count counts as one
-        (5, 1, 8, []),
-    ],
-)
-def test_scan_pool_is_capped(pool_sizes, monkeypatch, steps, n_workers, cpus, sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    cfg = default_config(steps=steps)
-    rows = run_scan(cfg, n_workers)
-    assert pool_sizes == sizes
-    assert rows == run_scan(cfg, 1)
+def test_steps_lie_between_two_and_max_steps():
+    # checked on the configuration only: nothing is allocated for a huge count
+    assert default_config(steps=MAX_STEPS).steps == MAX_STEPS
+    for steps in (1, MAX_STEPS + 1, 10**20):
+        with pytest.raises(ConfigError, match=r"steps must lie in \[2, 10000\]"):
+            default_config(steps=steps)
 
 
 def test_json_text_writes_non_finite_numbers_as_null():
