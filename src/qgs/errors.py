@@ -22,7 +22,7 @@ class TruncationError(CertificationError):
 
 
 class InsufficientCountsError(QgsError):
-    """Too few Monte Carlo counts for a reliable estimate."""
+    """wavepacket_g2 cannot divide by marginals this small; scan flags the row marginal-floor."""
 
 
 class ConfigError(QgsError, ValueError):

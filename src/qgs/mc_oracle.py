@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientCountsError
+from .errors import DomainError
 from .source_model import TwoPointParams
 
 _BLOCK = 1 << 16
 _COUNT_CAP = 512  # counts beyond this go to overflow_count
-_MIN_MARGINAL_COUNTS = 100  # empirical_g2's floor on row-N and column-M counts
 # compare's gates
 _Z_THRESHOLD = 4.0
 _MIN_EXPECTED = 25.0
@@ -53,15 +52,6 @@ class EmpiricalPND:
     total: int
     overflow_count: int
     params: TwoPointParams
-
-
-@dataclass(frozen=True)
-class G2Estimate:
-    """Empirical wavepacket correlation with a delta-method standard error."""
-
-    estimate: float
-    std_error: float
-    reliable: bool = True
 
 
 @dataclass(frozen=True)
@@ -165,37 +155,6 @@ def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, count_map=m
     tasks = [(params, seed, b, c) for b, c in _block_plan(n_samples)]
     counts, over = _merge_counts(list(count_map(_count_block, tasks)))
     return EmpiricalPND(counts=counts, total=n_samples, overflow_count=over, params=params)
-
-
-def empirical_g2(e: EmpiricalPND, N: int, M: int) -> G2Estimate:
-    """Empirical wavepacket correlation counts(N,M) total / (row(N) col(M)).
-
-    The standard error comes from the delta method on the multinomial
-    cell proportions, including row/column/cell covariances.
-    """
-    if N >= e.counts.shape[0] or M >= e.counts.shape[1]:
-        raise InsufficientCountsError(f"no counts observed for pair ({N}, {M})")
-    x = float(e.counts[N, M])
-    row = float(e.counts[N, :].sum())
-    col = float(e.counts[:, M].sum())
-    t = float(e.total)
-    if row < _MIN_MARGINAL_COUNTS or col < _MIN_MARGINAL_COUNTS:
-        raise InsufficientCountsError(
-            f"marginal counts ({row:.0f}, {col:.0f}) below floor {_MIN_MARGINAL_COUNTS}"
-        )
-    reliable = x >= 1
-    if x == 0:
-        return G2Estimate(estimate=0.0, std_error=float("nan"), reliable=False)
-    est = x * t / (row * col)
-    px, pr, pc = x / t, row / t, col / t
-    var_log = (
-        (1.0 - px) / x
-        - (1.0 - pr) / row
-        - (1.0 - pc) / col
-        + 2.0 * (px - pr * pc) / (t * pr * pc)
-    )
-    se = est * math.sqrt(max(var_log, 0.0))
-    return G2Estimate(estimate=est, std_error=se, reliable=reliable)
 
 
 def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:

@@ -28,7 +28,7 @@ from .errors import (
     QgsError,
     TruncationError,
 )
-from .fock_stats import HARD_CAP, classical_g2, joint_pnd, wavepacket_g2
+from .fock_stats import DEFAULT_TAIL_TOL, HARD_CAP, classical_g2, joint_pnd, wavepacket_g2
 from .mc_oracle import compare, empirical_pnd, sampling_pool
 from .source_model import BeamProfile, two_point_params
 
@@ -67,7 +67,7 @@ class ScanConfig:
     scan_max: float = 4.0
     steps: int = 81
     pairs: tuple = DEFAULT_PAIRS
-    tail_tol: float = 1e-6
+    tail_tol: float = DEFAULT_TAIL_TOL
     mc: MCSettings = MCSettings()
     output_path: str = "scan.csv"
 

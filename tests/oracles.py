@@ -6,11 +6,10 @@ of them shares arithmetic with the package: the quadrature builds its own
 real mean and covariance (mean_cov) and reads only the fields of
 TwoPointParams.
 
-The Hermite slab stream behind rho_element does share its inputs: it
-takes the generating-function coefficients A and b from
-qgs.fock_stats._gaussian_form, the ones moment_ladder expands.  It checks
-the ladder's recurrence, not the Gaussian form; the quadrature and the
-Monte Carlo routes check that.
+The Hermite slab stream behind rho_element writes out its own
+generating-function coefficients (gaussian_form) from the fields of
+TwoPointParams, entry by entry, so it shares no code with the
+qgs.fock_stats form that moment_ladder expands either.
 
 rho_element follows the multidimensional-Hermite recurrence (Miatto &
 Quesada, Quantum 4, 366 (2020)) for the Taylor coefficients G of the
@@ -32,7 +31,6 @@ import numpy as np
 from scipy import integrate
 
 from qgs.errors import CertificationError, DomainError
-from qgs.fock_stats import _gaussian_form
 from qgs.source_model import TwoPointParams
 
 mp.mp.dps = 50
@@ -145,6 +143,29 @@ class FockIndex:
         return self.N + self.M + self.K + self.L
 
 
+def gaussian_form(p: TwoPointParams):
+    """Coefficients (A, b, c) of the generating function, on the axes (N, M, K, L).
+
+    With the field covariance C = [[n1, g s], [g s, n2]], s = sqrt(n1 n2),
+    and mean m = (mu1, mu2): D = det(I + C), S = (I + C)^-1 and CS = C S,
+    A = [[0, CS], [CS, 0]], b = (S m, conj(S m)) and c = -m^H S m - ln D.
+    """
+    w = (1.0 - p.g) * (1.0 + p.g)  # 1 - g^2 without cancellation near g = 1
+    gs = p.g * math.sqrt(p.n1 * p.n2)
+    d = 1.0 + p.n1 + p.n2 + p.n1 * p.n2 * w
+    s11, s12, s22 = (1.0 + p.n2) / d, -gs / d, (1.0 + p.n1) / d
+    cs11, cs12, cs22 = (p.n1 + p.n1 * p.n2 * w) / d, gs / d, (p.n2 + p.n1 * p.n2 * w) / d
+    A = np.zeros((4, 4))
+    A[0, 2:] = A[2:, 0] = cs11, cs12
+    A[1, 2:] = A[2:, 1] = cs12, cs22
+    sm1 = s11 * p.mu1 + s12 * p.mu2
+    sm2 = s12 * p.mu1 + s22 * p.mu2
+    b = np.array([sm1, sm2, sm1.conjugate(), sm2.conjugate()])
+    cross = (p.mu1.conjugate() * p.mu2).real
+    c = -(s11 * abs(p.mu1) ** 2 + s22 * abs(p.mu2) ** 2 + 2.0 * s12 * cross) - math.log(d)
+    return A, b, c
+
+
 def _raise_index(t: np.ndarray, bi: complex, a_k: float, a_l: float, sq: np.ndarray):
     """One recurrence step along an unconjugated axis, before the 1/sqrt(k_i + 1).
 
@@ -181,7 +202,7 @@ def rho_element(p: TwoPointParams, idx: FockIndex) -> complex:
     """
     if idx.order > MAX_ORDER:
         raise DomainError(f"index order {idx.order} exceeds the maximum {MAX_ORDER}")
-    A, b, c = _gaussian_form(p)
+    A, b, c = gaussian_form(p)
     n = max(idx.N, idx.M, idx.K, idx.L)
     slab = next(itertools.islice(_slabs(A, b, n), idx.N, None))
     return complex(math.exp(c) * slab[idx.M, idx.K, idx.L])

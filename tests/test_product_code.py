@@ -19,9 +19,6 @@ TEST_ONLY = ("oracles", "specfun", "ddouble")
 
 # test-only today, each kept until the ROADMAP item named here decides it
 WAITING_NAMES = {
-    "empirical_g2": "ROADMAP item 7",
-    "G2Estimate": "ROADMAP item 7",
-    "_MIN_MARGINAL_COUNTS": "ROADMAP item 7",
     "classical_g2_closed": "ROADMAP item 6",
 }
 
