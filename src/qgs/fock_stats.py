@@ -1,37 +1,29 @@
-"""Fock-basis density-matrix elements and multiphoton correlations.
+"""Joint photon-number statistics and multiphoton correlations.
 
 The two-detector field is a Gaussian mixture of two-mode coherent states
 |alpha, beta>: (alpha, beta) is circular complex Gaussian with mean
-m = (mu1, mu2) and covariance C = [[n1, g s], [g s, n2]], s = sqrt(n1 n2).
-Under the standard expansion |alpha> = exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) |n>,
+mu = (mu1, mu2) and covariance C = [[n1, g s], [g s, n2]], s = sqrt(n1 n2).
+Each member of the mixture gives independent Poisson counts of means
+|alpha|^2 and |beta|^2, so the joint distribution p(N, M) is read off the
+count generating function (Mandel's photodetection formula; Mandel & Wolf,
+Optical Coherence and Quantum Optics, ch. 14)
 
-    <N,M|rho|K,L> = E[exp(-|alpha|^2 - |beta|^2)
-                      alpha^N beta^M conj(alpha)^K conj(beta)^L] / sqrt(N! M! K! L!),
-
-and <1,0|rho|0,0> carries the phase of mu1.  Every element is a scaled
-Taylor coefficient G[N, M, K, L] of one Gaussian generating function
-
-    E[exp(-|alpha|^2 - |beta|^2 + x1 alpha + x2 beta + x3 conj(alpha) + x4 conj(beta))]
-        = exp(x^T A x / 2 + b^T x + c).
+    sum_{N,M} p(N, M) z1^N z2^M = E[exp(-(1 - z1) |alpha|^2 - (1 - z2) |beta|^2)]
+        = e^c exp(m^H (I - Z CS)^-1 Z m) / det(I - Z CS),    Z = diag(z1, z2).
 
 With S = (I + C)^-1 and D = det(I + C) = 1 + n1 + n2 + n1 n2 (1 - g^2),
-all three are 2x2 closed forms:
+its inputs are 2x2 closed forms:
 
-    A = [[0, CS], [CS, 0]],   CS = [[n1 + n1 n2 (1-g^2), g s], [g s, n2 + n1 n2 (1-g^2)]] / D,
-    b = (S m, S conj(m)),     c = -m^H S m - ln D.
+    CS = [[n1 + n1 n2 (1-g^2), g s], [g s, n2 + n1 n2 (1-g^2)]] / D,
+    m = S mu,    c = -mu^H S mu - ln D.
 
+CS is real and symmetric, so every Taylor coefficient is real, and
+moment_ladder expands the function in float64 by an explicit O(n^2)
+recurrence and two (n+1) x (n+1) matrix products, as documented there.
 No inverse of C appears, so g = 1 and nbar -> 0 are ordinary inputs.
-
-The joint distribution p(N, M) = G[N, M, N, M] needs only the (n+1)^2
-diagonal.  With B = A[:2, 2:], b_a = b[:2], b_c = b[2:] and
-Z = diag(z1, z2), its count generating function (Mandel's photodetection
-formula; Mandel & Wolf, Optical Coherence and Quantum Optics, ch. 14) is
-
-    sum_{N,M} G[N, M, N, M] e^-c z1^N z2^M
-        = exp(b_c^T (I - Z B)^-1 Z b_a) / det(I - Z B),
-
-and moment_ladder expands it by an explicit O(n^2) recurrence and two
-(n+1) x (n+1) matrix products, as documented there.
+The off-diagonal density-matrix elements <N,M|rho|K,L> and their phase
+convention belong to the four-variable generating function that
+tests/oracles.py (rho_element) expands; no output needs them.
 
 The single-detector marginals are displaced-thermal for every g.
 single_mode_pnd evaluates their Laguerre closed form by one three-term
@@ -46,9 +38,8 @@ carries those prefixes for wavepacket_g2.
 
 There is no cancellation bookkeeping inside either recurrence.  After the
 fact, joint_pnd checks the normalization against the certified marginal
-tails, both marginals against the closed form, the positivity of every
-cell and the imaginary part of the diagonal, and raises
-PrecisionLossError when one fails.
+tails, both marginals against the closed form and the positivity of
+every cell, and raises PrecisionLossError when one fails.
 """
 
 from __future__ import annotations
@@ -99,23 +90,15 @@ class JointPND:
 
 
 def _gaussian_form(p: TwoPointParams):
-    """Coefficients (A, b, c) of the generating function.
-
-    Variables are ordered (alpha, beta, conj(alpha), conj(beta)), the axes
-    (N, M, K, L) of <N,M|rho|K,L>.
-    """
+    """Inputs (CS, m, c) of the count generating function: real CS, complex m = S mu."""
     omg2 = (1.0 - p.g) * (1.0 + p.g)
     gs = p.g * math.sqrt(p.n1 * p.n2)
     det = 1.0 + p.n1 + p.n2 + p.n1 * p.n2 * omg2
     s = np.array([[1.0 + p.n2, -gs], [-gs, 1.0 + p.n1]]) / det
     cs = np.array([[p.n1 + p.n1 * p.n2 * omg2, gs], [gs, p.n2 + p.n1 * p.n2 * omg2]]) / det
-    A = np.zeros((4, 4))
-    A[:2, 2:] = cs
-    A[2:, :2] = cs.T
-    m = np.array([p.mu1, p.mu2], dtype=complex)
-    b = np.concatenate([s @ m, s @ m.conj()])
-    c = -float((m.conj() @ s @ m).real) - math.log(det)
-    return A, b, c
+    mu = np.array([p.mu1, p.mu2], dtype=complex)
+    c = -float((mu.conj() @ s @ mu).real) - math.log(det)
+    return cs, s @ mu, c
 
 
 def _binomial_thinning(x: float, n: int) -> np.ndarray:
@@ -128,18 +111,18 @@ def _binomial_thinning(x: float, n: int) -> np.ndarray:
     return t
 
 
-def moment_ladder(A: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
-    """Diagonal G[N, M, N, M] / exp(c) for N, M = 0 .. n_max, complex.
+def moment_ladder(cs: np.ndarray, m: np.ndarray, n_max: int) -> np.ndarray:
+    """p(N, M) / exp(c) for N, M = 0 .. n_max, in float64.
 
-    A must have zero alpha-alpha and conj-conj blocks, as _gaussian_form's
-    does.  With B = A[:2, 2:], kappa = B12 B21 and u_i = z_i / (1 - B_ii z_i),
-    the count generating function of the module docstring factors as
+    The count generating function of the module docstring depends on six
+    real numbers: the thinnings x_i = CS_ii, kappa = CS12 CS21,
+    beta_i = |m_i|^2 and gamma = 2 CS12 Re(conj(m1) m2).  With
+    u_i = z_i / (1 - x_i z_i) it factors as
 
-        det(I - Z B) = (1 - B11 z1) (1 - B22 z2) (1 - kappa u1 u2),
-        b_c^T (I - Z B)^-1 Z b_a = (beta1 u1 + beta2 u2 + gamma u1 u2) / (1 - kappa u1 u2),
+        det(I - Z CS) = (1 - x1 z1) (1 - x2 z2) (1 - kappa u1 u2),
+        m^H (I - Z CS)^-1 Z m = (beta1 u1 + beta2 u2 + gamma u1 u2) / (1 - kappa u1 u2).
 
-    with beta_i = b_c,i b_a,i and gamma = B12 b_c,1 b_a,2 + B21 b_c,2 b_a,1.
-    Since u^j / (1 - B z) = sum_N C(N, j) B^(N-j) z^N, the diagonal is the
+    Since u^j / (1 - x z) = sum_N C(N, j) x^(N-j) z^N, the table is the
     coefficient table h of H(u1, u2) = exp(X / (1 - kappa u1 u2)) / (1 - kappa u1 u2),
     X = beta1 u1 + beta2 u2 + gamma u1 u2, thinned binomially along both
     axes.  From (1 - kappa u1 u2)^2 dH/du1 = H (beta1 + (gamma + kappa) u2
@@ -152,25 +135,25 @@ def moment_ladder(A: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
     beam with gamma >= 0 so is every term of the recurrence but the last;
     at m = 0 it is a three-term recurrence along the diagonal whose second
     solution grows only like log j.  The expansion in z1, z2 themselves,
-    with det(I - Z B) = 1 - B11 z1 - B22 z2 + det(B) z1 z2, subtracts at
+    with det(I - Z CS) = 1 - x1 z1 - x2 z2 + det(CS) z1 z2, subtracts at
     every step instead.
 
     The name and the position of n_max are relied on by bench/tracing.py,
     which wraps qgs.fock_stats.moment_ladder and reads its third argument
     as the order.
     """
-    kappa = A[0, 3] * A[1, 2]
-    beta1, beta2 = b[2] * b[0], b[3] * b[1]
-    gamma = A[0, 3] * b[2] * b[1] + A[1, 2] * b[3] * b[0]
-    h = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    h[0] = np.cumprod(np.concatenate([[1.0 + 0j], beta2 / np.arange(1, n_max + 1)]))
+    kappa = cs[0, 1] * cs[1, 0]
+    beta1, beta2 = m.real**2 + m.imag**2
+    gamma = (cs[0, 1] * m[0].conj() * m[1] + cs[1, 0] * m[1].conj() * m[0]).real
+    h = np.zeros((n_max + 1, n_max + 1))
+    h[0] = np.cumprod(np.concatenate([[1.0], beta2 / np.arange(1, n_max + 1)]))
     for j in range(n_max):
         row = beta1 * h[j]
         row[1:] += (gamma + (2 * j + 1) * kappa) * h[j, :-1]
         # at j = 0 the last term vanishes with its factor j
         row[2:] += kappa * beta2 * h[j, :-2] - j * kappa * kappa * h[j - 1, :-2]
         h[j + 1] = row / (j + 1)
-    return _binomial_thinning(A[0, 2], n_max) @ h @ _binomial_thinning(A[1, 3], n_max).T
+    return _binomial_thinning(cs[0, 0], n_max) @ h @ _binomial_thinning(cs[1, 1], n_max).T
 
 
 def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:
@@ -219,8 +202,9 @@ def _marginal_tail_order(tails: np.ndarray, n_start: int, tail_tol: float) -> in
 def _certify(
     marginals: tuple[np.ndarray, np.ndarray], t1: float, t2: float, q: np.ndarray
 ) -> np.ndarray:
-    """The after-the-fact checks on the diagonal q = G[N, M, N, M]; returns p(N, M).
+    """Four after-the-fact checks on the table q; returns p(N, M).
 
+    The checks are normalization, both marginals and positivity.
     marginals are the closed-form single_mode_pnd of both modes, one
     entry per row (column) of q, and t1, t2 their tails beyond the
     truncation.  The joint tail lies in [max(t1, t2), t1 + t2] and each
@@ -229,10 +213,9 @@ def _certify(
     """
     n = q.shape[0] - 1
     m1, m2 = marginals
-    mat = q.real
-    tail = 1.0 - float(mat.sum())
-    short1 = m1 - mat.sum(axis=1)
-    short2 = m2 - mat.sum(axis=0)
+    tail = 1.0 - float(q.sum())
+    short1 = m1 - q.sum(axis=1)
+    short2 = m2 - q.sum(axis=0)
     tol = _CHECK_TOL
     failed = [
         name
@@ -240,8 +223,7 @@ def _certify(
             ("normalization", max(t1, t2) - tol <= tail <= t1 + t2 + tol),
             ("marginal 1", np.all((-tol <= short1) & (short1 <= t2 + tol))),
             ("marginal 2", np.all((-tol <= short2) & (short2 <= t1 + tol))),
-            ("positivity", mat.min() >= -tol),
-            ("real diagonal", np.abs(q.imag).max() <= tol),
+            ("positivity", q.min() >= -tol),
         )
         if not ok
     ]
@@ -249,7 +231,7 @@ def _certify(
         raise PrecisionLossError(
             f"joint distribution at n_max = {n} fails its checks: {', '.join(failed)}"
         )
-    return np.clip(mat, 0.0, None)
+    return np.clip(q, 0.0, None)
 
 
 def joint_pnd(
@@ -274,8 +256,8 @@ def joint_pnd(
     t1, t2 = (1.0 - np.cumsum(m) for m in full)
     n_eff = _marginal_tail_order(t1 + t2, n_max, tail_tol)
     marginals = (full[0][: n_eff + 1], full[1][: n_eff + 1])
-    A, b, c = _gaussian_form(p)
-    mat = _certify(marginals, t1[n_eff], t2[n_eff], math.exp(c) * moment_ladder(A, b, n_eff))
+    cs, m, c = _gaussian_form(p)
+    mat = _certify(marginals, t1[n_eff], t2[n_eff], math.exp(c) * moment_ladder(cs, m, n_eff))
     tail = max(0.0, 1.0 - float(mat.sum()))
     if tail >= tail_tol:
         raise TruncationError(

@@ -160,6 +160,10 @@ def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, count_map=m
 def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
     """Per-cell z-score and total-variation comparison of the two routes.
 
+    The total variation runs over the cells of the analytic grid plus one
+    cell that holds the analytic tail_mass against every count off the
+    grid, overflow_count included.
+
     Cells with expected count >= _MIN_EXPECTED qualify for the z test; the
     verdict fails when no cell qualifies, when more than _MAX_FAIL_FRACTION
     of qualifying cells exceed _Z_THRESHOLD, or when the total variation
@@ -189,10 +193,11 @@ def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
         for i, j in zip(*np.nonzero(qual & (np.abs(z) > _Z_THRESHOLD)))
     )
 
-    # lump the analytic tail against the empirical mass outside the grid
-    emp_out = float(empirical.overflow_count)
+    # cells on the analytic grid, then its tail lumped against every count off it
+    inside = obs[:n_an, :n_an]
+    emp_out = float(obs.sum() - inside.sum()) + empirical.overflow_count
     tv = 0.5 * (
-        float(np.sum(np.abs(obs / t - pa))) + abs(emp_out / t - analytic.tail_mass)
+        float(np.sum(np.abs(inside / t - analytic.p))) + abs(emp_out / t - analytic.tail_mass)
     )
 
     tv_gate = _TV_GATE_1E7 * math.sqrt(1e7 / t)

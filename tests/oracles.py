@@ -9,11 +9,25 @@ TwoPointParams.
 The Hermite slab stream behind rho_element writes out its own
 generating-function coefficients (gaussian_form) from the fields of
 TwoPointParams, entry by entry, so it shares no code with the
-qgs.fock_stats form that moment_ladder expands either.
+qgs.fock_stats inputs that moment_ladder expands either.
 
-rho_element follows the multidimensional-Hermite recurrence (Miatto &
-Quesada, Quantum 4, 366 (2020)) for the Taylor coefficients G of the
-generating function in the qgs.fock_stats docstring,
+rho_element evaluates off-diagonal elements too, and pins their phase
+convention.  The field (alpha, beta) of the qgs.fock_stats docstring
+mixes two-mode coherent states; under the standard expansion
+|alpha> = exp(-|alpha|^2/2) sum_n alpha^n / sqrt(n!) |n>,
+
+    <N,M|rho|K,L> = E[exp(-|alpha|^2 - |beta|^2)
+                      alpha^N beta^M conj(alpha)^K conj(beta)^L] / sqrt(N! M! K! L!),
+
+so <1,0|rho|0,0> carries the phase of mu1.  Every element is a scaled
+Taylor coefficient G[N, M, K, L] of one Gaussian generating function
+
+    E[exp(-|alpha|^2 - |beta|^2 + x1 alpha + x2 beta + x3 conj(alpha) + x4 conj(beta))]
+        = exp(x^T A x / 2 + b^T x + c),
+
+with the coefficients of gaussian_form, and rho_element follows the
+multidimensional-Hermite recurrence (Miatto & Quesada, Quantum 4, 366
+(2020)) for them,
 
     G[k + e_i] = (b_i G[k] + sum_j A_ij sqrt(k_j) G[k - e_j]) / sqrt(k_i + 1).
 

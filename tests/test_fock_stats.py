@@ -179,15 +179,21 @@ class TestRhoElementQuadrature:
 
 
 class TestMomentLadder:
-    """The count-generating-function diagonal against the Hermite recurrence."""
+    """The float64 count-generating-function table against the Hermite slab stream.
+
+    The engine expands its own form (_gaussian_form) and the slab stream
+    the oracle's (oracles.gaussian_form), so the two sides share no code.
+    """
 
     @staticmethod
     def assert_matches_slabs(p, n):
-        A, b, c = _gaussian_form(p)
-        q = moment_ladder(A, b, n)
+        cs, m, _ = _gaussian_form(p)
+        q = moment_ladder(cs, m, n)
+        A, b, c = gaussian_form(p)
         ref = slab_diagonal(A, b, n)
         live = math.exp(c) * ref.real > 1e-300
         assert q.shape == (n + 1, n + 1)
+        assert q.dtype == np.float64
         assert np.max(np.abs(q - ref)[live] / np.abs(ref)[live]) <= 1e-10
 
     @pytest.mark.parametrize("separation", [0.5 * k for k in range(9)])

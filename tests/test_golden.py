@@ -11,14 +11,22 @@ A change that moves an output on purpose rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and states the difference in CHANGES.md.
+which reruns every command in a temporary directory, prints per file the
+number of values past GOLDEN_RTOL and, per column or key, the largest
+relative and absolute deviation, and then copies into tests/golden the
+files that fail the gate.  A file that passes stays as recorded.  The
+printed diff goes into CHANGES.md.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
-import sys
+import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -94,6 +102,38 @@ def test_output_matches_golden(name, tmp_path, monkeypatch):
     )
 
 
+def report(name: str, code: int, want_code: int, found: list) -> bool:
+    """Print the diff of one rerun file; True when it passes the gate."""
+    n_off = sum(d[0] > GOLDEN_RTOL for d in found)
+    print(
+        f"{name}: exit {code} (recorded {want_code}); "
+        f"{n_off} of {len(found)} values past {GOLDEN_RTOL:g} relative"
+    )
+    worst = {}
+    for rel, where, want, got in found:
+        key = re.sub(r"\[\d+\]", "", where[len(name):]).lstrip(".") or "(value)"
+        numeric = type(want) is float and type(got) is float and math.isfinite(want + got)
+        dev = (rel, abs(got - want) if numeric else (0.0 if rel == 0 else math.inf))
+        worst[key] = tuple(map(max, worst.get(key, dev), dev))
+    for key, (rel, dev) in worst.items():
+        print(f"  {key:<32} rel {rel:.3g}  abs {dev:.3g}")
+    return n_off == 0 and code == want_code
+
+
 if __name__ == "__main__":
-    os.chdir(GOLDEN)
-    sys.exit(max(main(argv) for argv, _ in COMMANDS.values()))
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = {name: main(argv) for name, (argv, _) in COMMANDS.items()}
+        failing = []
+        for name, (_, want_code) in COMMANDS.items():
+            if not (GOLDEN / name).exists():
+                print(f"{name}: exit {codes[name]}; no recorded file")
+                failing.append(name)
+                continue
+            found = list(deviations(load(GOLDEN / name), load(Path(name)), name))
+            if not report(name, codes[name], want_code, found):
+                failing.append(name)
+        for name in failing:
+            shutil.copyfile(name, GOLDEN / name)
+        print("rewrote", ", ".join(failing) if failing else "nothing")

@@ -181,6 +181,18 @@ def test_tv_counts_overflow_against_tail_mass():
     assert missing.n_failing == 0 and not missing.passed
 
 
+def test_tv_lumps_counts_off_the_grid_with_overflow():
+    # counts past the 2 x 2 grid but below the overflow cap belong to the
+    # tail too: scored once against tail_mass, not again against empty cells
+    p = np.array([[0.5, 0.2], [0.2, 0.09]])
+    analytic = JointPND(1, p, 0.01, P, marginals=(p.sum(axis=1), p.sum(axis=0)))
+    counts = np.zeros((4, 2), dtype=np.int64)
+    counts[:2, :2] = [[50, 20], [20, 9]]
+    counts[3, 0] = 1
+    emp = EmpiricalPND(counts=counts, total=100, overflow_count=0, params=P)
+    assert compare(analytic, emp).tv_distance == pytest.approx(0.0, abs=1e-15)
+
+
 def test_mismatched_params_rejected():
     with pytest.raises(DomainError):
         compare(uniform_analytic(params=replace(P, g=0.5)), checkerboard(10_000_000, 0))
