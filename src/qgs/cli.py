@@ -19,11 +19,14 @@ refuses a bool or a number with a fraction, and mu_peak is [re],
 (scan's and pnd's --out) ending in .json gets JSON, any other gets CSV.
 Every JSON output is strict JSON: a non-finite number, such as a
 validate report's max_abs_z when no cell qualifies, is written as null.
+Importing this module freezes the heap the imports built (gc.freeze), so
+that a run's collections and its interpreter shutdown skip numpy's objects.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -48,6 +51,10 @@ from .scan import (
     write_output,
 )
 from .source_model import two_point_params
+
+# The modules imported above live until exit; frozen, no later collection
+# walks them, and the collections at interpreter shutdown skip them too.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

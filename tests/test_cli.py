@@ -578,15 +578,14 @@ def test_pnd_leaves_the_scan_output_alone(tmp_path, monkeypatch):
     assert (tmp_path / "pnd.csv").read_text().startswith("N,M,p\n")
 
 
-def run_fresh(code):
+def fresh_env():
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        check=True,
-        timeout=120,
-    )
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_fresh(code):
+    subprocess.run([sys.executable, "-c", code], env=fresh_env(), check=True, timeout=120)
 
 
 def test_import_loads_no_scipy():
@@ -596,6 +595,28 @@ def test_import_loads_no_scipy():
 def test_cli_import_loads_no_process_pool():
     # a pool's modules load only on the multi-worker branch that uses them
     run_fresh("import qgs.cli, sys; assert 'concurrent.futures.process' not in sys.modules")
+
+
+def test_cli_import_freezes_its_heap(tmp_path):
+    # the import's objects go to the permanent generation, and a run that
+    # exits through the frozen heap still writes all of its output
+    run_fresh(
+        "import gc, qgs.cli\n"
+        "assert gc.get_freeze_count() > 100 * len(gc.get_objects()), gc.get_freeze_count()"
+    )
+    fresh = tmp_path / "s.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "qgs.cli", "scan", "--steps", "2", "--out", str(fresh)],
+        env=fresh_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "wrote 16 rows" in done.stdout
+    here = tmp_path / "here.csv"
+    assert main(["scan", "--steps", "2", "--out", str(here)]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 
