@@ -1,6 +1,6 @@
 """Independent oracles used to freeze and check expected values.
 
-The series oracle sums Kummer terms in 50-digit arithmetic; the
+The series oracle sums Kummer terms in 50-digit arithmetic; the moment,
 single-mode element and quadrature oracles integrate numerically.  None
 of them shares arithmetic with the package: the quadrature builds its own
 real mean and covariance (mean_cov) and reads only the fields of
@@ -62,6 +62,21 @@ def series_hyp1f1(a, b, z, terms=200):
         s += t
         t = t * (a + k) / ((b + k) * (k + 1)) * z
     return float(s)
+
+
+def quad_gaussian_moment(a, b, n, half_width=None, epsabs=1e-14):
+    """Adaptive quadrature of q^n exp(-a q^2 - b q)."""
+    if half_width is None:
+        half_width = max(20.0, (abs(b) + 10.0 * np.sqrt(n + 1)) / a + 10.0 / np.sqrt(a))
+    val, err = integrate.quad(
+        lambda q: q**n * np.exp(-a * q * q - b * q),
+        -half_width,
+        half_width,
+        epsabs=epsabs,
+        epsrel=1e-13,
+        limit=400,
+    )
+    return val, err
 
 
 def dblquad_single_mode_element(nbar, mu, N, K):

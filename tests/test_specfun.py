@@ -14,7 +14,7 @@ from specfun import (
     hyp1f1,
 )
 
-from oracles import series_hyp1f1
+from oracles import quad_gaussian_moment, series_hyp1f1
 
 
 class TestHyp1f1:
@@ -98,3 +98,16 @@ class TestGaussianMoment:
         target = -gaussian_moment(MomentParams(a, b, n + 1))
         scale = max(abs(target), abs(deriv), 1e-30)
         assert abs(deriv - target) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("b", [-3.0, 0.0, 1.0, 4.0])
+    def test_oracle_equivalence_grid(self, a, b):
+        for n in range(13):
+            closed = gaussian_moment(MomentParams(a, b, n))
+            quad, err = quad_gaussian_moment(a, b, n)
+            assert err <= 1e-10 * (1.0 + abs(quad))
+            if closed == 0.0:
+                assert abs(quad) < 1e-12
+            else:
+                assert quad == pytest.approx(closed, rel=1e-8)
+
