@@ -15,10 +15,16 @@ identical for any worker count.
 compare holds every gate of the analytic-versus-counts verdict as a
 module constant; the total-variation gate scales with the sample count.
 
-Each block works on four contiguous real rows: standard normals drawn as
-one (4, count) array are turned in place into (Re alpha, Im alpha,
-Re beta, Im beta), and the Poisson means are sums of squared rows.  The
-count histogram masks overflowing draws only in a block that has one.
+Each block holds three count-length float64 rows: |alpha|^2, s2 g Re w1
+(which becomes |beta|^2) and s2 g Im w1, with s2 = sqrt(n2/2).  The stream's
+normals, read as the rows (Re w1, Im w1, Re w2, Im w2) of a (4, count)
+array, arrive as one whole row and then _CHUNK at a time, and each chunk
+is folded into the rows.  Every float operation keeps the order of the
+one-shot (4, count) formula, because test_sample_stream_is_frozen pins
+the draws bit for bit.  The third row is freed before the Poisson draws,
+which are also taken _CHUNK at a time and overwrite the means they read.
+A block with an overflowing draw counts it at (0, 0) and takes it off
+there.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .source_model import TwoPointParams
 
 _BLOCK = 1 << 16
 _COUNT_CAP = 512  # counts beyond this go to overflow_count
+_CHUNK = 8192  # draws taken at a time after a block's first row of normals
 # compare's gates
 _Z_THRESHOLD = 4.0
 _MIN_EXPECTED = 25.0
@@ -71,24 +78,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
 
 
-def _block_fields(p: TwoPointParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """One block of correlated field draws as rows (Re alpha, Im alpha, Re beta, Im beta).
-
-    Explicit Cholesky factor of the 2x2 complex covariance, exact at g = 1:
-    alpha = mu1 + sqrt(n1/2) w1 and
-    beta = mu2 + sqrt(n2/2) (g w1 + sqrt(1 - g^2) w2), where the rows of
-    standard_normal((4, count)) are (Re w1, Im w1, Re w2, Im w2).
-    """
-    f = rng.standard_normal((4, count))
-    s2 = math.sqrt(p.n2 / 2.0)
-    # beta's rows first: they read w1 from rows 0 and 1
-    f[2:] *= s2 * math.sqrt((1.0 - p.g) * (1.0 + p.g))
-    f[2:] += (s2 * p.g) * f[:2]
-    f[:2] *= math.sqrt(p.n1 / 2.0)
-    f += np.array([[p.mu1.real], [p.mu1.imag], [p.mu2.real], [p.mu2.imag]])
-    return f
-
-
 def _block_plan(n_samples: int) -> list:
     return [(b, min(_BLOCK, n_samples - s)) for b, s in enumerate(range(0, n_samples, _BLOCK))]
 
@@ -101,7 +90,7 @@ def sampling_pool(n_workers: int, n_samples: int):
     beyond the blocks of one run or the CPUs; one worker is no pool.  Its
     map hands out one block at a time, so no worker idles at the end.
     """
-    workers = min(n_workers, len(_block_plan(n_samples)), os.cpu_count() or 1)
+    workers = min(n_workers, -(-n_samples // _BLOCK), os.cpu_count() or 1)
     if workers < 2:
         yield map
     else:
@@ -111,26 +100,83 @@ def sampling_pool(n_workers: int, n_samples: int):
             yield pool.map
 
 
+def _spans(count: int) -> list:
+    return [(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
+
+
+def _block_means(p: TwoPointParams, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Poisson means (|alpha|^2, |beta|^2) of one block of correlated field draws, as rows.
+
+    Explicit Cholesky factor of the 2x2 complex covariance, exact at g = 1:
+    alpha = mu1 + sqrt(n1/2) w1 and
+    beta = mu2 + sqrt(n2/2) (g w1 + sqrt(1 - g^2) w2), where the stream's
+    normals are the rows (Re w1, Im w1, Re w2, Im w2) of a (4, count) array.
+    Row 0 is drawn whole, rows 1 to 3 _CHUNK at a time.
+    """
+    s1 = math.sqrt(p.n1 / 2.0)
+    s2 = math.sqrt(p.n2 / 2.0)
+    c2 = s2 * math.sqrt((1.0 - p.g) * (1.0 + p.g))
+    s2g = s2 * p.g
+    lam = np.empty((2, count))
+    lam1, lam2 = lam
+    rng.standard_normal(out=lam1)
+    np.multiply(lam1, s2g, out=lam2)  # s2 g Re w1 until row 2 turns it into (Re beta)^2
+    gw1i = np.empty(count)  # s2 g Im w1
+    lam1 *= s1
+    lam1 += p.mu1.real
+    np.square(lam1, out=lam1)
+    chunk = np.empty(min(_CHUNK, count))
+    spans = _spans(count)
+    for lo, hi in spans:  # Im w1
+        w = rng.standard_normal(out=chunk[: hi - lo])
+        np.multiply(w, s2g, out=gw1i[lo:hi])
+        w *= s1
+        w += p.mu1.imag
+        np.square(w, out=w)
+        lam1[lo:hi] += w
+    for lo, hi in spans:  # Re w2
+        w = rng.standard_normal(out=chunk[: hi - lo])
+        w *= c2
+        w += lam2[lo:hi]
+        w += p.mu2.real
+        np.square(w, out=lam2[lo:hi])
+    for lo, hi in spans:  # Im w2
+        w = rng.standard_normal(out=chunk[: hi - lo])
+        w *= c2
+        w += gw1i[lo:hi]
+        w += p.mu2.imag
+        np.square(w, out=w)
+        lam2[lo:hi] += w
+    return lam
+
+
 def _count_block(args):
     params, seed, block, count = args
     rng = _block_rng(seed, block)
-    f = _block_fields(params, rng, count)
-    np.square(f, out=f)
-    n1 = rng.poisson(f[0] + f[1])
-    n2 = rng.poisson(f[2] + f[3])
+    lam = _block_means(params, rng, count)
+    # each chunk's counts overwrite the means they were drawn from: separate
+    # count rows made a worker's heap give back and re-fault pages every block
+    counts = lam.view(np.int64)
+    spans = _spans(count)
+    for row in (0, 1):
+        for lo, hi in spans:
+            counts[row, lo:hi] = rng.poisson(lam[row, lo:hi])
+    n1, n2 = counts
     over = 0
     if n1.max() >= _COUNT_CAP or n2.max() >= _COUNT_CAP:
-        keep = (n1 < _COUNT_CAP) & (n2 < _COUNT_CAP)
-        over = count - int(np.count_nonzero(keep))
-        n1, n2 = n1[keep], n2[keep]
-        if n1.size == 0:
-            return np.zeros((1, 1), dtype=np.int64), over
+        # an overflowing draw is counted at (0, 0) and taken off there below,
+        # so no copy of the kept draws is made
+        lost = (n1 >= _COUNT_CAP) | (n2 >= _COUNT_CAP)
+        over = int(np.count_nonzero(lost))
+        np.copyto(n1, 0, where=lost)
+        np.copyto(n2, 0, where=lost)
     m1 = int(n1.max()) + 1
     m2 = int(n2.max()) + 1
     n1 *= m2
     n1 += n2
-    mat = np.bincount(n1, minlength=m1 * m2).reshape(m1, m2)
-    return mat.astype(np.int64, copy=False), over
+    mat = np.bincount(n1, minlength=m1 * m2).reshape(m1, m2).astype(np.int64, copy=False)
+    mat[0, 0] -= over
+    return mat, over
 
 
 def _merge_counts(blocks):

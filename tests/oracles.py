@@ -11,6 +11,10 @@ generating-function coefficients (gaussian_form) from the fields of
 TwoPointParams, entry by entry, so it shares no code with the
 qgs.fock_stats inputs that moment_ladder expands either.
 
+_block_fields is the Monte Carlo sampler's field draw as one (4, count)
+array, the reference that qgs.mc_oracle's chunked block kernel matches
+bit for bit.
+
 rho_element evaluates off-diagonal elements too, and pins their phase
 convention.  The field (alpha, beta) of the qgs.fock_stats docstring
 mixes two-mode coherent states; under the standard expansion
@@ -137,6 +141,24 @@ def mean_cov(p: TwoPointParams) -> MeanCov:
     )
     mu = np.array([p.mu1.real, p.mu1.imag, p.mu2.real, p.mu2.imag])
     return MeanCov(mu=mu, gamma=gamma, degenerate=p.is_degenerate)
+
+
+def _block_fields(p: TwoPointParams, rng: np.random.Generator, count: int) -> np.ndarray:
+    """One block of correlated field draws as rows (Re alpha, Im alpha, Re beta, Im beta).
+
+    Explicit Cholesky factor of the 2x2 complex covariance, exact at g = 1:
+    alpha = mu1 + sqrt(n1/2) w1 and
+    beta = mu2 + sqrt(n2/2) (g w1 + sqrt(1 - g^2) w2), where the rows of
+    standard_normal((4, count)) are (Re w1, Im w1, Re w2, Im w2).
+    """
+    f = rng.standard_normal((4, count))
+    s2 = math.sqrt(p.n2 / 2.0)
+    # beta's rows first: they read w1 from rows 0 and 1
+    f[2:] *= s2 * math.sqrt((1.0 - p.g) * (1.0 + p.g))
+    f[2:] += (s2 * p.g) * f[:2]
+    f[:2] *= math.sqrt(p.n1 / 2.0)
+    f += np.array([[p.mu1.real], [p.mu1.imag], [p.mu2.real], [p.mu2.imag]])
+    return f
 
 
 @dataclass(frozen=True)

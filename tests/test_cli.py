@@ -99,6 +99,7 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         ["pnd", "--separation", "1e300"],
         ["scan", "--scan-max", "60", "--steps", "3"],
         ["scan", "--steps", "100000000000000000000"],
+        ["validate", "--samples", "100000000000000000000"],
     ],
     ids=[
         "mu-peak",
@@ -124,6 +125,7 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         "separation-underflow",
         "position-underflow",
         "steps-huge",
+        "samples-huge",
     ],
 )
 def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
@@ -381,13 +383,14 @@ def test_zero_workers_is_config_error_from_any_source(tmp_path, source):
         (b'{"pairs": [[0.9, 1]]}', "invalid pairs"),
         (b'{"profile": {"mu_peak": [1, 2, 3]}}', "invalid mu_peak"),
         (b'{"mc": {"n_workers": 2.5}}', "invalid n_workers"),
+        (b'{"mc": {"n_samples": 1e20}}', "n_samples must lie in [1, 1000000000]"),
         (b"[1, 2]", "config config.json must be a JSON object"),
         (b'{"mc": null}', "mc must be a JSON object"),
         (b"\xff\xfe", "cannot read config config.json"),
     ],
     ids=[
-        "steps", "steps-bool", "steps-huge", "pairs", "mu-peak", "workers", "document", "mc-null",
-        "not-utf8",
+        "steps", "steps-bool", "steps-huge", "pairs", "mu-peak", "workers", "samples-huge",
+        "document", "mc-null", "not-utf8",
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, text, message):

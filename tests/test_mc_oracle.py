@@ -1,8 +1,10 @@
-"""Monte Carlo sampler: the field-draw rule, the frozen sample stream and
+"""Monte Carlo sampler: the field-draw rule, the chunked block kernel against
+the one-shot reference and its working set, the frozen sample stream and
 worker-count invariance, and compare's verdict on constructed count matrices."""
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +15,9 @@ from qgs.errors import DomainError
 from qgs.fock_stats import JointPND
 from qgs.mc_oracle import (
     EmpiricalPND,
-    _block_fields,
+    _block_means,
     _block_rng,
+    _count_block,
     compare,
     empirical_pnd,
     sampling_pool,
@@ -22,7 +25,7 @@ from qgs.mc_oracle import (
 from qgs.scan import default_config
 from qgs.source_model import TwoPointParams, two_point_params
 
-from oracles import mean_cov
+from oracles import _block_fields, mean_cov
 
 
 @pytest.mark.parametrize("g", [0.0, 0.5, 0.9, 0.999])
@@ -42,6 +45,62 @@ def test_g1_block_locks_fluctuations():
     mu = mean_cov(p).mu[:, None]
     d = fields - mu
     assert np.max(np.abs(d[2:] - d[:2] * math.sqrt(p.n2 / p.n1))) < 1e-14
+
+
+def reference_count_block(p, seed, block, count):
+    """_count_block's Poisson means, counts and overflow, built from the one-shot field draw."""
+    rng = _block_rng(seed, block)
+    f = _block_fields(p, rng, count)
+    np.square(f, out=f)
+    lam1, lam2 = f[0] + f[1], f[2] + f[3]
+    n1 = rng.poisson(lam1)
+    n2 = rng.poisson(lam2)
+    keep = (n1 < mc_oracle._COUNT_CAP) & (n2 < mc_oracle._COUNT_CAP)
+    if not keep.any():
+        return (lam1, lam2), np.zeros((1, 1), dtype=np.int64), count
+    n1, n2 = n1[keep], n2[keep]
+    mat = np.zeros((n1.max() + 1, n2.max() + 1), dtype=np.int64)
+    np.add.at(mat, (n1, n2), 1)
+    return (lam1, lam2), mat, count - n1.size
+
+
+CHUNK = mc_oracle._CHUNK
+
+
+@pytest.mark.parametrize("count", [1, 17, CHUNK - 1, CHUNK, CHUNK + 1, 40000, 65536])
+@pytest.mark.parametrize("g", [0.0, 0.5, 0.999, 1.0])
+@pytest.mark.parametrize(
+    # means of 400 and 1e12 photons put some and all draws past _COUNT_CAP
+    "n1", [0.8, 400.0, 1e12], ids=["dim", "overflowing", "all-overflowing"]
+)
+def test_count_block_matches_one_shot_reference(n1, g, count):
+    # the means bit for bit: a change of rounding moves almost no count
+    p = TwoPointParams(n1=n1, n2=1.3, g=g, mu1=0.6 - 0.2j, mu2=0.1 + 0.4j)
+    want_means, want, want_over = reference_count_block(p, 11, 2, count)
+    assert np.array_equal(_block_means(p, _block_rng(11, 2), count), want_means)
+    mat, over = _count_block((p, 11, 2, count))
+    assert np.array_equal(mat, want)
+    assert over == want_over
+    if n1 == 1e12:
+        assert over == count
+    elif n1 == 400.0 and count >= CHUNK:
+        assert over > 0
+
+
+@pytest.mark.parametrize("n1", [0.8, 400.0], ids=["dim", "overflowing"])
+def test_count_block_working_set(n1):
+    # three count-length float64 rows and one chunk make 1.56 MiB; the one-shot
+    # (4, count) draw with its beta temporary peaked at 3.51 MiB
+    p = TwoPointParams(n1=n1, n2=1.3, g=0.5, mu1=0.6 - 0.2j, mu2=0.1 + 0.4j)
+    task = (p, 11, 2, 65536)
+    _count_block(task)
+    tracemalloc.start()
+    try:
+        _count_block(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 2**20
 
 
 def sample(p, n_samples, seed, n_workers):

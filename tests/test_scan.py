@@ -10,6 +10,7 @@ import pytest
 from qgs.errors import ConfigError
 from qgs.fock_stats import HARD_CAP, classical_g2_closed
 from qgs.scan import (
+    MAX_SAMPLES,
     MAX_STEPS,
     MCSettings,
     config_from_dict,
@@ -56,6 +57,14 @@ def test_steps_lie_between_two_and_max_steps():
     for steps in (1, MAX_STEPS + 1, 10**20):
         with pytest.raises(ConfigError, match=r"steps must lie in \[2, 10000\]"):
             default_config(steps=steps)
+
+
+def test_samples_lie_between_one_and_max_samples():
+    # checked on the settings only: no block plan is built for a huge count
+    assert MCSettings(n_samples=MAX_SAMPLES).n_samples == MAX_SAMPLES
+    for n_samples in (0, MAX_SAMPLES + 1, 10**20):
+        with pytest.raises(ConfigError, match=r"n_samples must lie in \[1, 1000000000\]"):
+            MCSettings(n_samples=n_samples)
 
 
 def test_json_text_writes_non_finite_numbers_as_null():
