@@ -9,8 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical-certification failure.  Each command accepts only the
-settings it reads.  Only validate forks: one pool of up to --workers
-processes for its whole run; scan computes in this process.  A setting
+settings it reads, but scan takes --workers and ignores it: bench/run.py
+passes it until a benchmark change drops it (ROADMAP item 4).  Only
+validate forks: one pool of up to --workers processes for its whole run;
+scan computes in this process.  A setting
 comes from the defaults, then the --config file, then its option, the
 later winning; the file is a JSON object laid out as config_to_dict
 writes it, holding any subset of the settings.  An integer setting

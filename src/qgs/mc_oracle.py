@@ -10,7 +10,7 @@ oracle for every analytic quantity in :mod:`qgs.fock_stats`.
 Reproducibility: samples are generated in fixed-size blocks, each block
 owning an SFC64 stream seeded by SeedSequence([master seed, block
 index]).  Workers are assigned whole blocks, so results are bit-for-bit
-identical for any worker count.
+identical for any worker count; block counts are summed as they arrive.
 
 compare holds every gate of the analytic-versus-counts verdict as a
 module constant; the total-variation gate scales with the sample count.
@@ -90,7 +90,7 @@ def sampling_pool(n_workers: int, n_samples: int):
     beyond the blocks of one run or the CPUs; one worker is no pool.  Its
     map hands out one block at a time, so no worker idles at the end.
     """
-    workers = min(n_workers, -(-n_samples // _BLOCK), os.cpu_count() or 1)
+    workers = min(n_workers, len(_block_plan(n_samples)), os.cpu_count() or 1)
     if workers < 2:
         yield map
     else:
@@ -179,27 +179,28 @@ def _count_block(args):
     return mat, over
 
 
-def _merge_counts(blocks):
-    m1 = max(b.shape[0] for b, _ in blocks)
-    m2 = max(b.shape[1] for b, _ in blocks)
-    out = np.zeros((m1, m2), dtype=np.int64)
-    over = 0
-    for mat, ov in blocks:
-        out[: mat.shape[0], : mat.shape[1]] += mat
-        over += ov
-    return out, over
+def _padded(mat: np.ndarray, shape) -> np.ndarray:
+    """mat in the top-left corner of a zero matrix of the given shape."""
+    return np.pad(mat, [(0, n - m) for n, m in zip(shape, mat.shape)])
 
 
 def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, count_map=map) -> EmpiricalPND:
     """Joint count matrix over n_samples independent field-then-count draws.
 
-    Deterministic for a fixed seed and invariant under count_map, a
-    sampling_pool's map: workers process disjoint whole blocks and the merge
+    Blocks are added to one count matrix as count_map yields them, so memory
+    is that matrix plus the block results in flight, whatever the sample
+    count.  Deterministic for a fixed seed and invariant under count_map, a
+    sampling_pool's map: workers process disjoint whole blocks and the sum
     is a commutative matrix addition.  The caller checks the settings:
     MCSettings the sample and worker counts, ScanConfig the seed range.
     """
     tasks = [(params, seed, b, c) for b, c in _block_plan(n_samples)]
-    counts, over = _merge_counts(list(count_map(_count_block, tasks)))
+    counts, over = np.zeros((1, 1), dtype=np.int64), 0
+    for mat, ov in count_map(_count_block, tasks):
+        if mat.shape[0] > counts.shape[0] or mat.shape[1] > counts.shape[1]:
+            counts = _padded(counts, np.maximum(counts.shape, mat.shape))
+        counts[: mat.shape[0], : mat.shape[1]] += mat
+        over += ov
     return EmpiricalPND(counts=counts, total=n_samples, overflow_count=over, params=params)
 
 
@@ -219,12 +220,9 @@ def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
         raise DomainError("analytic and empirical distributions use different parameters")
     t = float(empirical.total)
     n_an = analytic.p.shape[0]
-    n1 = max(n_an, empirical.counts.shape[0])
-    n2 = max(n_an, empirical.counts.shape[1])
-    pa = np.zeros((n1, n2))
-    pa[:n_an, :n_an] = analytic.p
-    obs = np.zeros((n1, n2))
-    obs[: empirical.counts.shape[0], : empirical.counts.shape[1]] = empirical.counts
+    shape = np.maximum(analytic.p.shape, empirical.counts.shape)
+    pa = _padded(analytic.p, shape)
+    obs = _padded(empirical.counts, shape)
 
     expected = t * pa
     qual = expected >= _MIN_EXPECTED

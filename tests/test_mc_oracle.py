@@ -103,6 +103,23 @@ def test_count_block_working_set(n1):
     assert peak <= 1.75 * 2**20
 
 
+def test_empirical_pnd_working_set_does_not_grow_with_blocks():
+    # the n_peak 10 beam at separation 0, whose block matrices are about 140 x 140
+    # int64 (150 KiB): holding every block until one merge grew the peak by one
+    # such matrix per block, 2.0 MiB at 4 blocks and 7.1 MiB at 40
+    p = TwoPointParams(n1=10.0, n2=10.0, g=1.0, mu1=1.0 + 0j, mu2=1.0 + 0j)
+    empirical_pnd(p, 65536, 5)
+    peaks = []
+    for n_blocks in (4, 40):
+        tracemalloc.start()
+        try:
+            emp = empirical_pnd(p, n_blocks * 65536, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + emp.counts.nbytes
+
+
 def sample(p, n_samples, seed, n_workers):
     with sampling_pool(n_workers, n_samples) as count_map:
         return empirical_pnd(p, n_samples, seed, count_map)
