@@ -298,10 +298,8 @@ def classical_g2(pnd: JointPND) -> float:
     mean1 = float(ns @ pnd.p.sum(axis=1))
     mean2 = float(pnd.p.sum(axis=0) @ ns)
     cross = float(ns @ pnd.p @ ns)
-    if mean1 <= 0 or mean2 <= 0:
-        raise DomainError("mean photon numbers vanish; correlation undefined")
-    if not mean1 * mean2 > 0:  # near 1e-300 each: <n1 n2> underflows with them
-        raise PrecisionLossError("the product of the mean photon numbers underflows")
+    if not mean1 * mean2 > 0:  # 0, or near 1e-300 each: <n1 n2> underflows with them
+        raise PrecisionLossError("the product of the mean photon numbers vanishes or underflows")
     return cross / (mean1 * mean2)
 
 

@@ -63,7 +63,10 @@ class EmpiricalPND:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Analytic-versus-empirical verdict for one parameter set."""
+    """Analytic-versus-empirical verdict for one parameter set.
+
+    n_cells counts the analytic grid's cells, where the z test and the TV run.
+    """
 
     n_cells: int
     n_qualifying: int
@@ -207,9 +210,10 @@ def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, count_map=m
 def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
     """Per-cell z-score and total-variation comparison of the two routes.
 
-    The total variation runs over the cells of the analytic grid plus one
-    cell that holds the analytic tail_mass against every count off the
-    grid, overflow_count included.
+    Both run on the analytic grid, to which the counts are cropped (zero
+    where they stop short of it).  The total variation adds one cell that
+    holds the analytic tail_mass against every count off the grid,
+    overflow_count included.
 
     Cells with expected count >= _MIN_EXPECTED qualify for the z test; the
     verdict fails when no cell qualifies, when more than _MAX_FAIL_FRACTION
@@ -219,10 +223,9 @@ def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
     if analytic.params != empirical.params:
         raise DomainError("analytic and empirical distributions use different parameters")
     t = float(empirical.total)
-    n_an = analytic.p.shape[0]
-    shape = np.maximum(analytic.p.shape, empirical.counts.shape)
-    pa = _padded(analytic.p, shape)
-    obs = _padded(empirical.counts, shape)
+    pa = analytic.p
+    # no cell off the grid can qualify: its counts join the tail below
+    obs = _padded(empirical.counts[: pa.shape[0], : pa.shape[1]], pa.shape)
 
     expected = t * pa
     qual = expected >= _MIN_EXPECTED
@@ -230,27 +233,23 @@ def compare(analytic, empirical: EmpiricalPND) -> ComparisonReport:
     # a cell of p = 1 has no spread: any miss is an infinite z, an exact hit z = 0
     z = np.where(qual & (obs != expected), np.copysign(np.inf, obs - expected), 0.0)
     np.divide(obs - expected, sd, out=z, where=qual & (sd > 0))
-    n_fail = int(np.sum(np.abs(z[qual]) > _Z_THRESHOLD))
     n_qual = int(np.sum(qual))
     failing = tuple(
         (int(i), int(j), float(z[i, j]), float(expected[i, j]), int(obs[i, j]))
         for i, j in zip(*np.nonzero(qual & (np.abs(z) > _Z_THRESHOLD)))
     )
 
-    # cells on the analytic grid, then its tail lumped against every count off it
-    inside = obs[:n_an, :n_an]
-    emp_out = float(obs.sum() - inside.sum()) + empirical.overflow_count
-    tv = 0.5 * (
-        float(np.sum(np.abs(inside / t - analytic.p))) + abs(emp_out / t - analytic.tail_mass)
-    )
+    # the grid's cells, then its tail lumped against every count off it
+    emp_out = float(empirical.counts.sum() - obs.sum()) + empirical.overflow_count
+    tv = 0.5 * (float(np.sum(np.abs(obs / t - pa))) + abs(emp_out / t - analytic.tail_mass))
 
     tv_gate = _TV_GATE_1E7 * math.sqrt(1e7 / t)
-    passed = (n_qual > 0) and (n_fail <= _MAX_FAIL_FRACTION * n_qual) and (tv < tv_gate)
+    passed = (n_qual > 0) and (len(failing) <= _MAX_FAIL_FRACTION * n_qual) and (tv < tv_gate)
     max_z = float(np.max(np.abs(z[qual]))) if n_qual else float("nan")
     return ComparisonReport(
         n_cells=int(pa.size),
         n_qualifying=n_qual,
-        n_failing=n_fail,
+        n_failing=len(failing),
         max_abs_z=max_z,
         tv_distance=tv,
         passed=passed,

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qgs.fock_stats as fock_stats
 from qgs.cli import _load_config, build_parser, main
 from qgs.mc_oracle import empirical_pnd
 from qgs.scan import MCSettings, ScanConfig, config_to_dict, default_config
@@ -100,6 +101,9 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         ["scan", "--scan-max", "60", "--steps", "3"],
         ["scan", "--steps", "100000000000000000000"],
         ["validate", "--samples", "100000000000000000000"],
+        ["scan", "--scan-min", "3", "--scan-max", "1", "--steps", "3"],
+        ["scan", "--pairs", ";", "--steps", "3"],
+        ["fit-g2", "--target", "2.5"],
     ],
     ids=[
         "mu-peak",
@@ -126,6 +130,9 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         "position-underflow",
         "steps-huge",
         "samples-huge",
+        "scan-range-reversed",
+        "pairs-empty",
+        "target-outside",
     ],
 )
 def test_malformed_option_is_config_error(tmp_path, monkeypatch, argv):
@@ -190,6 +197,23 @@ def test_vacuum_beam_scan_flags_precision_loss(tmp_path):
     assert len(rows) == 3 * 8
     assert all("precision-loss" in r["flags"].split(";") for r in rows)
     assert all(r["classical_g2"] == r["g2_tilde"] == "" for r in rows)
+
+
+def test_uncertified_table_flags_every_scan_row(tmp_path, monkeypatch):
+    # a far corner of -1e-11 fails joint_pnd's positivity check at every position
+    exact = fock_stats.moment_ladder
+
+    def ladder(*args):
+        h = exact(*args)
+        h[-1, -1] = -1e-11
+        return h
+
+    monkeypatch.setattr(fock_stats, "moment_ladder", ladder)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--steps", "2", "--out", str(out)]) == 3
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 2 * 8
+    assert all("precision-loss" in r["flags"].split(";") for r in rows)
 
 
 def test_vacuum_beam_validates_without_warning(tmp_path):

@@ -15,6 +15,7 @@ from qgs.errors import (
 )
 from qgs.fock_stats import (
     DEFAULT_TAIL_TOL,
+    JointPND,
     _gaussian_form,
     _marginal_tail_order,
     classical_g2,
@@ -412,6 +413,42 @@ class TestJointPnd:
         for got, want in zip(pnd.marginals, marginals_to(p, pnd.n_max)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            ("row-moved", "marginal 1"),
+            ("column-moved", "marginal 2"),
+            ("negative-corner", "normalization, positivity"),
+            ("scaled", "normalization, marginal 1, marginal 2"),
+        ],
+        ids=["row-moved", "column-moved", "negative-corner", "scaled"],
+    )
+    def test_corrupted_table_fails_the_named_check(self, monkeypatch, corrupt, named):
+        # the default beam at separation 1 certifies at n_eff 25
+        monkeypatch.setattr(fock_stats, "moment_ladder", corrupted_ladder(corrupt))
+        with pytest.raises(PrecisionLossError, match=f"n_max = 25 fails its checks: {named}$"):
+            joint_pnd(scan_position(None, 1.0), 16)
+
+
+def corrupted_ladder(corrupt):
+    """moment_ladder with its table corrupted before joint_pnd's checks read it."""
+
+    def ladder(*args):
+        h = moment_ladder(*args)
+        if corrupt == "row-moved":  # 1e-6 from row 3 to row 2 of column 1
+            h[3, 1] -= 1e-6
+            h[2, 1] += 1e-6
+        elif corrupt == "column-moved":  # 1e-6 from column 3 to column 2 of row 1
+            h[1, 3] -= 1e-6
+            h[1, 2] += 1e-6
+        elif corrupt == "negative-corner":
+            h[-1, -1] = -1e-11
+        else:
+            h *= 1.001
+        return h
+
+    return ladder
+
 
 class TestWavepacketG2:
     def test_independent_all_pairs(self):
@@ -509,6 +546,14 @@ class TestClassicalG2:
         pnd = joint_pnd(p, 16)
         assert pnd.p[1, 0] > 0 and pnd.p[0, 1] > 0
         with pytest.raises(PrecisionLossError, match="underflows"):
+            classical_g2(pnd)
+
+    def test_vacuum_table_is_precision_loss(self):
+        # both means are exactly 0, so their product is no positive number
+        params = TwoPointParams(n1=1e-300, n2=1e-300, g=1.0, mu1=0j, mu2=0j)
+        p = np.ones((1, 1))
+        pnd = JointPND(0, p, 0.0, params, marginals=(p.sum(axis=1), p.sum(axis=0)))
+        with pytest.raises(PrecisionLossError):
             classical_g2(pnd)
 
     def test_closed_form_underflowing_intensity_product_is_precision_loss(self):

@@ -269,6 +269,28 @@ def test_tv_lumps_counts_off_the_grid_with_overflow():
     assert compare(analytic, emp).tv_distance == pytest.approx(0.0, abs=1e-15)
 
 
+def test_compare_working_set_is_bounded_by_the_analytic_grid():
+    # counts that reach (399, 399) on a 10 x 10 grid: every array scored on the
+    # union of the two shapes was 400 x 400 float64 (1.2 MiB)
+    counts = np.zeros((400, 400), dtype=np.int64)
+    counts[:10, :10] = 100_000
+    counts[399, 399] = 1
+    total = 10_000_001
+    emp = EmpiricalPND(counts=counts, total=total, overflow_count=0, params=P)
+    compare(uniform_analytic(), emp)
+    tracemalloc.start()
+    try:
+        report = compare(uniform_analytic(), emp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**10
+    assert report.n_cells == 100
+    # the grid's cells fall short of their 0.01 by 1 / total in all, and the
+    # one count off it is scored once, as the tail cell against tail_mass 0
+    assert report.tv_distance == pytest.approx(1 / total, rel=1e-6)
+
+
 def test_mismatched_params_rejected():
     with pytest.raises(DomainError):
         compare(uniform_analytic(params=replace(P, g=0.5)), checkerboard(10_000_000, 0))
