@@ -11,11 +11,13 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical-certification failure.  Each command accepts only the
 settings it reads, but scan takes --workers and ignores it: bench/run.py
 passes it until a benchmark change drops it (ROADMAP item 4).  Only
-validate forks: one pool of up to --workers processes for its whole run;
-scan computes in this process.  A setting
-comes from the defaults, then the --config file, then its option, the
-later winning; the file is a JSON object laid out as config_to_dict
-writes it, holding any subset of the settings.  An integer setting
+validate forks: one multiprocessing.Pool of up to --workers processes,
+forked once every analytic table is certified and kept for the whole
+run; its imap pulls the Monte Carlo blocks lazily and hands them out one
+at a time.  scan computes in this process.  A setting comes from the
+defaults, then the --config file, then its option, the later winning;
+the file is a JSON object laid out as config_to_dict writes it, holding
+any subset of the settings.  An integer setting
 refuses a bool or a number with a fraction, and mu_peak is [re],
 [re, im] or a number (re or re,im as an option).  An output path
 (scan's and pnd's --out) ending in .json gets JSON, any other gets CSV.

@@ -11,6 +11,9 @@ Reproducibility: samples are generated in fixed-size blocks, each block
 owning an SFC64 stream seeded by SeedSequence([master seed, block
 index]).  Workers are assigned whole blocks, so results are bit-for-bit
 identical for any worker count; block counts are summed as they arrive.
+The blocks' tasks are generated lazily and a multiprocessing.Pool's imap
+pulls them as its workers take them, so neither the tasks nor the results
+in flight grow with the sample count.
 
 compare holds every gate of the analytic-versus-counts verdict as a
 module constant; the total-variation gate scales with the sample count.
@@ -81,26 +84,38 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
 
 
-def _block_plan(n_samples: int) -> list:
-    return [(b, min(_BLOCK, n_samples - s)) for b, s in enumerate(range(0, n_samples, _BLOCK))]
+def _block_plan(n_samples: int):
+    return ((b, min(_BLOCK, n_samples - s)) for b, s in enumerate(range(0, n_samples, _BLOCK)))
 
 
 @contextmanager
 def sampling_pool(n_workers: int, n_samples: int):
-    """The map empirical_pnd counts blocks with: a process pool's, or the builtin map.
+    """The map empirical_pnd counts blocks with: a process pool's imap, or the builtin map.
 
-    A fork pool starts all its workers at the first task, so it gets none
-    beyond the blocks of one run or the CPUs; one worker is no pool.  Its
-    map hands out one block at a time, so no worker idles at the end.
+    A multiprocessing Pool forks all its workers when it is created, so it
+    gets none beyond the blocks of one run or the CPUs; one worker is no
+    pool.  Its imap pulls tasks from their generator lazily, only as fast as
+    the pipe to the workers drains, and hands out one block at a time, so
+    no worker idles at the end.
     """
-    workers = min(n_workers, len(_block_plan(n_samples)), os.cpu_count() or 1)
+    workers = min(n_workers, -(-n_samples // _BLOCK), os.cpu_count() or 1)
     if workers < 2:
         yield map
     else:
-        from concurrent.futures import ProcessPoolExecutor  # one-worker runs never load it
+        from multiprocessing.pool import Pool  # one-worker runs never load it
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
+        # not ProcessPoolExecutor: its map submits a future per block before
+        # it yields the first result
+        class QuietPool(Pool):
+            # Pool's worker handler also waits on the result pipe, so it spins
+            # in this process while a result waits there, taking CPU from the
+            # workers; it needs waking only when a worker exits or the pool
+            # changes state
+            def _get_sentinels(self):
+                return [self._change_notifier._reader]
+
+        with QuietPool(workers) as pool:
+            yield pool.imap
 
 
 def _spans(count: int) -> list:
@@ -190,14 +205,15 @@ def _padded(mat: np.ndarray, shape) -> np.ndarray:
 def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, count_map=map) -> EmpiricalPND:
     """Joint count matrix over n_samples independent field-then-count draws.
 
-    Blocks are added to one count matrix as count_map yields them, so memory
-    is that matrix plus the block results in flight, whatever the sample
+    The blocks' tasks are generated as count_map pulls them, and blocks are
+    added to one count matrix as count_map yields them, so memory is that
+    matrix plus the tasks and block results in flight, whatever the sample
     count.  Deterministic for a fixed seed and invariant under count_map, a
     sampling_pool's map: workers process disjoint whole blocks and the sum
     is a commutative matrix addition.  The caller checks the settings:
     MCSettings the sample and worker counts, ScanConfig the seed range.
     """
-    tasks = [(params, seed, b, c) for b, c in _block_plan(n_samples)]
+    tasks = ((params, seed, b, c) for b, c in _block_plan(n_samples))
     counts, over = np.zeros((1, 1), dtype=np.int64), 0
     for mat, ov in count_map(_count_block, tasks):
         if mat.shape[0] > counts.shape[0] or mat.shape[1] > counts.shape[1]:

@@ -1,22 +1,22 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
+import multiprocessing.pool
 
 import pytest
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The max_workers of every ProcessPoolExecutor made, in order.
+    """The processes of every multiprocessing.pool.Pool made, in order.
 
     The pool is a stand-in that maps in this process, so no worker is forked.
-    Its map takes no chunksize: tasks go to the workers one at a time.
+    Its imap takes no chunksize: tasks go to the workers one at a time.
     """
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -24,8 +24,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def imap(self, fn, iterable):
+            return map(fn, iterable)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", SerialPool)
     return sizes

@@ -3,6 +3,7 @@ the one-shot reference and its working set, the frozen sample stream and
 worker-count invariance, and compare's verdict on constructed count matrices."""
 
 import math
+import multiprocessing.pool
 import os
 import tracemalloc
 from dataclasses import replace
@@ -172,6 +173,79 @@ def test_sampling_pool_is_capped(pool_sizes, monkeypatch, n_blocks, n_workers, c
     plan = [(99, b, mc_oracle._BLOCK) for b in range(n_blocks - 1)] + [(99, n_blocks - 1, 17)]
     assert seen == plan
     assert emp.counts.tolist() == [[n]]
+
+
+# Stand-ins for _count_block that a real pool runs: defined at module level,
+# so the pool pickles them by name.
+def count_block_stub(task):
+    return np.array([[task[3]]], dtype=np.int64), 0
+
+
+def count_block_failing_at_3(task):
+    if task[2] == 3:
+        raise DomainError("block 3 failed")
+    return count_block_stub(task)
+
+
+def count_block_wide(task):
+    return np.ones((100, 100), dtype=np.int64), 0
+
+
+def test_pool_memory_does_not_grow_with_blocks(monkeypatch):
+    # a ProcessPoolExecutor's map holds one future per block before it yields
+    # the first result: its traced peak went from 98 KB at 40 blocks to
+    # 4.29 MB at 2,000, and the lazy imap's from at most 34 KB to at most
+    # 215 KB, on a loaded machine too; 512 KiB of growth lies between the two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc_oracle, "_count_block", count_block_stub)
+    p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
+    peaks = []
+    with sampling_pool(2, 2000 * mc_oracle._BLOCK) as count_map:
+        empirical_pnd(p, 4 * mc_oracle._BLOCK, 5, count_map)
+        for n_blocks in (40, 2000):
+            n = n_blocks * mc_oracle._BLOCK
+            tracemalloc.start()
+            try:
+                emp = empirical_pnd(p, n, 5, count_map)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert emp.counts.tolist() == [[n]]
+    assert peaks[1] - peaks[0] <= 512 * 2**10
+
+
+def test_pool_parent_does_not_wake_per_result(monkeypatch):
+    # a Pool's worker handler that also waits on the result pipe returns from
+    # every wait while a result is still being read: 761 waits over these 200
+    # blocks of 80 KB results, CPU the parent takes from the workers.  Waking
+    # only when a worker exits or the pool changes state takes two.
+    waits = []
+    wait = multiprocessing.pool.wait
+
+    def counted_wait(*args, **kwargs):
+        waits.append(1)
+        return wait(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "wait", counted_wait)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc_oracle, "_count_block", count_block_wide)
+    p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
+    n = 200 * mc_oracle._BLOCK
+    with sampling_pool(2, n) as count_map:
+        emp = empirical_pnd(p, n, 5, count_map)
+        assert len(waits) <= 10
+    assert emp.counts.sum() == 200 * 100 * 100
+
+
+def test_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mc_oracle, "_count_block", count_block_failing_at_3)
+    p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
+    n = 40 * mc_oracle._BLOCK
+    with pytest.raises(DomainError, match="block 3 failed"):
+        with sampling_pool(2, n) as count_map:
+            empirical_pnd(p, n, 5, count_map)
+    assert multiprocessing.active_children() == []
 
 
 # The counts of a run of 2 * 65536 + 17 samples at seed 5, frozen: a change
