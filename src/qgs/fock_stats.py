@@ -11,11 +11,11 @@ Optical Coherence and Quantum Optics, ch. 14)
     sum_{N,M} p(N, M) z1^N z2^M = E[exp(-(1 - z1) |alpha|^2 - (1 - z2) |beta|^2)]
         = e^c exp(m^H (I - Z CS)^-1 Z m) / det(I - Z CS),    Z = diag(z1, z2).
 
-With S = (I + C)^-1 and D = det(I + C) = 1 + n1 + n2 + n1 n2 (1 - g^2),
-its inputs are 2x2 closed forms:
+With S = (I + C)^-1, D = det(I + C) = 1 + n1 + n2 + n1 n2 (1 - g^2),
+k = g s / D and m = S mu, _gaussian_form evaluates six reals and c:
 
-    CS = [[n1 + n1 n2 (1-g^2), g s], [g s, n2 + n1 n2 (1-g^2)]] / D,
-    m = S mu,    c = -mu^H S mu - ln D.
+    x_i = CS_ii = (n_i + n1 n2 (1 - g^2)) / D,    kappa = CS12 CS21 = k^2,
+    beta_i = |m_i|^2,    gamma = 2 k Re(conj(m1) m2),    c = -Re(mu^H m) - ln D.
 
 CS is real and symmetric, so every Taylor coefficient is real, and
 moment_ladder expands the function in float64 by an explicit O(n^2)
@@ -90,15 +90,15 @@ class JointPND:
 
 
 def _gaussian_form(p: TwoPointParams):
-    """Inputs (CS, m, c) of the count generating function: real CS, complex m = S mu."""
-    omg2 = (1.0 - p.g) * (1.0 + p.g)
-    gs = p.g * math.sqrt(p.n1 * p.n2)
-    det = 1.0 + p.n1 + p.n2 + p.n1 * p.n2 * omg2
-    s = np.array([[1.0 + p.n2, -gs], [-gs, 1.0 + p.n1]]) / det
-    cs = np.array([[p.n1 + p.n1 * p.n2 * omg2, gs], [gs, p.n2 + p.n1 * p.n2 * omg2]]) / det
-    mu = np.array([p.mu1, p.mu2], dtype=complex)
-    c = -float((mu.conj() @ s @ mu).real) - math.log(det)
-    return cs, s @ mu, c
+    """(x1, x2, kappa), (beta1, beta2, gamma) and c, the closed forms of the module docstring."""
+    nn = p.n1 * p.n2 * ((1.0 - p.g) * (1.0 + p.g))
+    det = 1.0 + p.n1 + p.n2 + nn
+    k = p.g * math.sqrt(p.n1 * p.n2) / det
+    m1 = (1.0 + p.n2) / det * p.mu1 - k * p.mu2
+    m2 = (1.0 + p.n1) / det * p.mu2 - k * p.mu1
+    b = ((m1.conjugate() * m1).real, (m2.conjugate() * m2).real, 2 * k * (m1.conjugate() * m2).real)
+    c = -(p.mu1.conjugate() * m1 + p.mu2.conjugate() * m2).real - math.log(det)
+    return ((p.n1 + nn) / det, (p.n2 + nn) / det, k * k), b, c
 
 
 def _binomial_thinning(x: float, n: int) -> np.ndarray:
@@ -111,13 +111,13 @@ def _binomial_thinning(x: float, n: int) -> np.ndarray:
     return t
 
 
-def moment_ladder(cs: np.ndarray, m: np.ndarray, n_max: int) -> np.ndarray:
+def moment_ladder(x: tuple, b: tuple, n_max: int) -> np.ndarray:
     """p(N, M) / exp(c) for N, M = 0 .. n_max, in float64.
 
-    The count generating function of the module docstring depends on six
-    real numbers: the thinnings x_i = CS_ii, kappa = CS12 CS21,
-    beta_i = |m_i|^2 and gamma = 2 CS12 Re(conj(m1) m2).  With
-    u_i = z_i / (1 - x_i z_i) it factors as
+    x = (x1, x2, kappa) and b = (beta1, beta2, gamma) are the six reals of
+    the module docstring as _gaussian_form returns them: the thinnings x_i,
+    the coupling kappa and the displacement terms beta_i and gamma.  With
+    u_i = z_i / (1 - x_i z_i) the count generating function factors as
 
         det(I - Z CS) = (1 - x1 z1) (1 - x2 z2) (1 - kappa u1 u2),
         m^H (I - Z CS)^-1 Z m = (beta1 u1 + beta2 u2 + gamma u1 u2) / (1 - kappa u1 u2).
@@ -142,9 +142,8 @@ def moment_ladder(cs: np.ndarray, m: np.ndarray, n_max: int) -> np.ndarray:
     which wraps qgs.fock_stats.moment_ladder and reads its third argument
     as the order.
     """
-    kappa = cs[0, 1] * cs[1, 0]
-    beta1, beta2 = m.real**2 + m.imag**2
-    gamma = (cs[0, 1] * m[0].conj() * m[1] + cs[1, 0] * m[1].conj() * m[0]).real
+    x1, x2, kappa = x
+    beta1, beta2, gamma = b
     h = np.zeros((n_max + 1, n_max + 1))
     h[0] = np.cumprod(np.concatenate([[1.0], beta2 / np.arange(1, n_max + 1)]))
     for j in range(n_max):
@@ -153,7 +152,7 @@ def moment_ladder(cs: np.ndarray, m: np.ndarray, n_max: int) -> np.ndarray:
         # at j = 0 the last term vanishes with its factor j
         row[2:] += kappa * beta2 * h[j, :-2] - j * kappa * kappa * h[j - 1, :-2]
         h[j + 1] = row / (j + 1)
-    return _binomial_thinning(cs[0, 0], n_max) @ h @ _binomial_thinning(cs[1, 1], n_max).T
+    return _binomial_thinning(x1, n_max) @ h @ _binomial_thinning(x2, n_max).T
 
 
 def single_mode_pnd(nbar: float, mu: complex, n_max: int) -> np.ndarray:
@@ -256,8 +255,8 @@ def joint_pnd(
     t1, t2 = (1.0 - np.cumsum(m) for m in full)
     n_eff = _marginal_tail_order(t1 + t2, n_max, tail_tol)
     marginals = (full[0][: n_eff + 1], full[1][: n_eff + 1])
-    cs, m, c = _gaussian_form(p)
-    mat = _certify(marginals, t1[n_eff], t2[n_eff], math.exp(c) * moment_ladder(cs, m, n_eff))
+    x, b, c = _gaussian_form(p)
+    mat = _certify(marginals, t1[n_eff], t2[n_eff], math.exp(c) * moment_ladder(x, b, n_eff))
     tail = max(0.0, 1.0 - float(mat.sum()))
     if tail >= tail_tol:
         raise TruncationError(

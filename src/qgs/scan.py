@@ -238,11 +238,12 @@ def config_from_dict(doc: dict) -> ScanConfig:
 def check_writable(path: str) -> None:
     """Raise the ConfigError write_output would, before any work is spent.
 
-    Only the directory is checked, so no file is created.
+    Only the directory is checked, so no file is created.  An empty path,
+    like a directory, names no file.
     """
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-        raise ConfigError(f"cannot write {path}: no writable directory {parent}")
+    if os.path.isdir(path or ".") or not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise ConfigError(f"cannot write {path!r}: not a file in a writable directory {parent}")
 
 
 def write_output(path: str, payload: str) -> None:

@@ -8,8 +8,9 @@ TwoPointParams.
 
 The Hermite slab stream behind rho_element writes out its own
 generating-function coefficients (gaussian_form) from the fields of
-TwoPointParams, entry by entry, so it shares no code with the
-qgs.fock_stats inputs that moment_ladder expands either.
+TwoPointParams, entry by entry, so it shares no code either with the six
+reals that moment_ladder expands: qgs.fock_stats's x1, x2, kappa, beta1,
+beta2 and gamma.
 
 _block_fields is the Monte Carlo sampler's field draw as one (4, count)
 array, the reference that qgs.mc_oracle's chunked block kernel matches

@@ -254,15 +254,18 @@ def test_dim_beam_rows_flag_marginal_floor(tmp_path):
     [
         ["scan", "--steps", "3", "--out", "missing/x.csv"],
         ["pnd", "--separation", "1", "--out", "missing/p.csv"],
+        ["scan", "--steps", "3", "--out", ""],
+        ["pnd", "--separation", "1", "--out", ""],
+        ["validate", "--samples", "1000", "--report", ""],
     ],
-    ids=["scan", "pnd"],
+    ids=["scan", "pnd", "scan-empty", "pnd-empty", "validate-empty"],
 )
 def test_output_path_checked_before_work(tmp_path, monkeypatch, argv):
     def never(*args, **kwargs):
         raise AssertionError("computed before checking the output path")
 
-    monkeypatch.setattr("qgs.cli.run_scan", never)
-    monkeypatch.setattr("qgs.cli.joint_pnd", never)
+    for name in ("cli.run_scan", "cli.joint_pnd", "scan.joint_pnd", "scan.empirical_pnd"):
+        monkeypatch.setattr(f"qgs.{name}", never)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert not any(tmp_path.iterdir())
