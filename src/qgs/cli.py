@@ -13,8 +13,8 @@ settings it reads, but scan takes --workers and ignores it: bench/run.py
 passes it until a benchmark change drops it (ROADMAP item 4).  Only
 validate forks: one multiprocessing.Pool of up to --workers processes,
 forked once every analytic table is certified and kept for the whole
-run; its imap pulls the Monte Carlo blocks lazily and hands them out one
-at a time.  scan computes in this process.  A setting comes from the
+run; each separation hands each worker one task, its share of the Monte
+Carlo blocks.  scan computes in this process.  A setting comes from the
 defaults, then the --config file, then its option, the later winning;
 the file is a JSON object laid out as config_to_dict writes it, holding
 any subset of the settings.  An integer setting

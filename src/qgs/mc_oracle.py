@@ -9,11 +9,11 @@ oracle for every analytic quantity in :mod:`qgs.fock_stats`.
 
 Reproducibility: samples are generated in fixed-size blocks, each block
 owning an SFC64 stream seeded by SeedSequence([master seed, block
-index]).  Workers are assigned whole blocks, so results are bit-for-bit
-identical for any worker count; block counts are summed as they arrive.
-The blocks' tasks are generated lazily and a multiprocessing.Pool's imap
-pulls them as its workers take them, so neither the tasks nor the results
-in flight grow with the sample count.
+index]).  A run on W workers is W tasks, one share each: share k counts
+blocks k, k + W, k + 2W, ... into one count matrix, and the shares'
+matrices are added by the same fold.  Integer sums over the same blocks
+make results bit-for-bit identical for any worker count, and neither the
+tasks nor the results grow with the sample count.
 
 compare holds every gate of the analytic-versus-counts verdict as a
 module constant; the total-variation gate scales with the sample count.
@@ -84,38 +84,22 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, block])))
 
 
-def _block_plan(n_samples: int):
-    return ((b, min(_BLOCK, n_samples - s)) for b, s in enumerate(range(0, n_samples, _BLOCK)))
-
-
 @contextmanager
 def sampling_pool(n_workers: int, n_samples: int):
-    """The map empirical_pnd counts blocks with: a process pool's imap, or the builtin map.
+    """The (map, shares) pair empirical_pnd splits its blocks with.
 
     A multiprocessing Pool forks all its workers when it is created, so it
-    gets none beyond the blocks of one run or the CPUs; one worker is no
-    pool.  Its imap pulls tasks from their generator lazily, only as fast as
-    the pipe to the workers drains, and hands out one block at a time, so
-    no worker idles at the end.
+    gets none beyond the blocks of one run or the CPUs, and one share per
+    worker; one worker is no pool, but the builtin map and one share.
     """
     workers = min(n_workers, -(-n_samples // _BLOCK), os.cpu_count() or 1)
     if workers < 2:
-        yield map
+        yield map, 1
     else:
         from multiprocessing.pool import Pool  # one-worker runs never load it
 
-        # not ProcessPoolExecutor: its map submits a future per block before
-        # it yields the first result
-        class QuietPool(Pool):
-            # Pool's worker handler also waits on the result pipe, so it spins
-            # in this process while a result waits there, taking CPU from the
-            # workers; it needs waking only when a worker exits or the pool
-            # changes state
-            def _get_sentinels(self):
-                return [self._change_notifier._reader]
-
-        with QuietPool(workers) as pool:
-            yield pool.imap
+        with Pool(workers) as pool:
+            yield pool.map, workers
 
 
 def _spans(count: int) -> list:
@@ -202,24 +186,38 @@ def _padded(mat: np.ndarray, shape) -> np.ndarray:
     return np.pad(mat, [(0, n - m) for n, m in zip(shape, mat.shape)])
 
 
-def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, count_map=map) -> EmpiricalPND:
-    """Joint count matrix over n_samples independent field-then-count draws.
-
-    The blocks' tasks are generated as count_map pulls them, and blocks are
-    added to one count matrix as count_map yields them, so memory is that
-    matrix plus the tasks and block results in flight, whatever the sample
-    count.  Deterministic for a fixed seed and invariant under count_map, a
-    sampling_pool's map: workers process disjoint whole blocks and the sum
-    is a commutative matrix addition.  The caller checks the settings:
-    MCSettings the sample and worker counts, ScanConfig the seed range.
-    """
-    tasks = ((params, seed, b, c) for b, c in _block_plan(n_samples))
+def _summed(results) -> tuple:
+    """(count matrix, overflow) pairs added into one, padded to the largest matrix."""
     counts, over = np.zeros((1, 1), dtype=np.int64), 0
-    for mat, ov in count_map(_count_block, tasks):
+    for mat, ov in results:
         if mat.shape[0] > counts.shape[0] or mat.shape[1] > counts.shape[1]:
             counts = _padded(counts, np.maximum(counts.shape, mat.shape))
         counts[: mat.shape[0], : mat.shape[1]] += mat
         over += ov
+    return counts, over
+
+
+def _count_share(task) -> tuple:
+    """The summed blocks k, k + shares, k + 2 shares, ... of a run of n samples."""
+    params, seed, n, k, shares = task
+    blocks = range(k, -(-n // _BLOCK), shares)
+    return _summed(_count_block((params, seed, b, min(_BLOCK, n - b * _BLOCK))) for b in blocks)
+
+
+def empirical_pnd(params: TwoPointParams, n_samples: int, seed: int, pool=(map, 1)) -> EmpiricalPND:
+    """Joint count matrix over n_samples independent field-then-count draws.
+
+    pool is a sampling_pool's (map, shares): the map gets one task per
+    share, and each share adds its blocks to one count matrix as it counts
+    them, so memory is one matrix and one block per share, whatever the
+    sample count.  Deterministic for a fixed seed and invariant under the
+    pool: the shares are disjoint sets of whole blocks, summed as integers.
+    The caller checks the settings: MCSettings the sample and worker
+    counts, ScanConfig the seed range.
+    """
+    count_map, shares = pool
+    tasks = [(params, seed, n_samples, k, shares) for k in range(shares)]
+    counts, over = _summed(count_map(_count_share, tasks))
     return EmpiricalPND(counts=counts, total=n_samples, overflow_count=over, params=params)
 
 

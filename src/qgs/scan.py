@@ -81,8 +81,8 @@ class ScanConfig:
             raise ConfigError("scan_min must be below scan_max")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ConfigError(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
-        if not self.tail_tol > 0:
-            raise ConfigError(f"tail_tol must be positive, got {self.tail_tol}")
+        if not 0 < self.tail_tol < 1:  # every tail is below 1
+            raise ConfigError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
         if not self.pairs:
             raise ConfigError("at least one (N, M) pair is required")
         for pair in self.pairs:
@@ -306,8 +306,8 @@ def emit(rows: list[dict], fmt: str, path: str, cfg: ScanConfig) -> None:
 def validate(cfg: ScanConfig) -> dict:
     """Analytic-versus-Monte-Carlo comparison at scan_min, the midpoint and scan_max.
 
-    Separation i is sampled with seed mc.seed + i in one sampling_pool, and
-    compare gates each one; the report passes when every separation does.
+    Separation i is sampled with seed mc.seed + i, one share of its blocks per
+    worker of one sampling_pool; compare gates each, and the report passes if all do.
     """
     n_samples, seed = cfg.mc.n_samples, cfg.mc.seed
     seps = [cfg.scan_min, 0.5 * (cfg.scan_min + cfg.scan_max), cfg.scan_max]
@@ -317,9 +317,9 @@ def validate(cfg: ScanConfig) -> dict:
     params = [two_point_params(cfg.profile, s1, s1 + sep) for sep in seps]
     pnds = [joint_pnd(p, 0, tail_tol=cfg.tail_tol) for p in params]
     results = []
-    with sampling_pool(cfg.mc.n_workers, n_samples) as count_map:
+    with sampling_pool(cfg.mc.n_workers, n_samples) as pool:
         for i, (sep, p, pnd) in enumerate(zip(seps, params, pnds)):
-            emp = empirical_pnd(p, n_samples, seed + i, count_map)
+            emp = empirical_pnd(p, n_samples, seed + i, pool)
             report = asdict(compare(pnd, emp))
             results.append(
                 {"separation": sep, "n_samples": n_samples, "seed": seed + i, "report": report}

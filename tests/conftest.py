@@ -9,8 +9,8 @@ import pytest
 def pool_sizes(monkeypatch):
     """The processes of every multiprocessing.pool.Pool made, in order.
 
-    The pool is a stand-in that maps in this process, so no worker is forked.
-    Its imap takes no chunksize: tasks go to the workers one at a time.
+    The pool is a stand-in that maps in this process, in task order, so no
+    worker is forked.
     """
     sizes = []
 
@@ -24,8 +24,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def imap(self, fn, iterable):
-            return map(fn, iterable)
+        def map(self, fn, iterable):
+            return list(map(fn, iterable))
 
     monkeypatch.setattr(multiprocessing.pool, "Pool", SerialPool)
     return sizes

@@ -85,6 +85,8 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         ["scan", "--steps", "3", "--workers", "-3"],
         ["validate", "--samples", "0"],
         ["scan", "--steps", "3", "--tail-tol", "-1"],
+        ["validate", "--samples", "100000", "--tail-tol", "1"],
+        ["pnd", "--separation", "1", "--tail-tol", "inf"],
         ["scan", "--steps", "3", "--n-peak", "inf"],
         ["scan", "--steps", "3", "--mu-peak", "nan"],
         ["pnd", "--separation", "1", "--mu-peak", "inf"],
@@ -114,6 +116,8 @@ def test_unreachable_tail_is_certification_failure(tmp_path):
         "workers-negative",
         "samples-zero",
         "tail-tol-negative",
+        "tail-tol-one",
+        "tail-tol-inf",
         "n-peak-inf",
         "mu-peak-nan",
         "mu-peak-inf",
@@ -271,6 +275,26 @@ def test_output_path_checked_before_work(tmp_path, monkeypatch, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("option, in_file", [("1", "1"), ("inf", "1e999")], ids=["one", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--steps", "3"], ["pnd", "--separation", "1"], ["validate", "--samples", "1000"]],
+    ids=["scan", "pnd", "validate"],
+)
+def test_tail_tol_of_one_refused_before_work(tmp_path, monkeypatch, argv, option, in_file):
+    # every tail is below 1, so such a tolerance would certify any truncation
+    def never(*args, **kwargs):
+        raise AssertionError("computed with a tail tolerance that certifies nothing")
+
+    for name in ("cli.run_scan", "cli.joint_pnd", "scan.joint_pnd", "scan.empirical_pnd"):
+        monkeypatch.setattr(f"qgs.{name}", never)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--tail-tol", option]) == 2
+    (tmp_path / "config.json").write_text(f'{{"tail_tol": {in_file}}}')
+    assert main([*argv, "--config", "config.json"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_scan_json_has_the_csv_rows(tmp_path):
     csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
     for out in (csv_out, json_out):
@@ -411,13 +435,14 @@ def test_zero_workers_is_config_error_from_any_source(tmp_path, source):
         (b'{"profile": {"mu_peak": [1, 2, 3]}}', "invalid mu_peak"),
         (b'{"mc": {"n_workers": 2.5}}', "invalid n_workers"),
         (b'{"mc": {"n_samples": 1e20}}', "n_samples must lie in [1, 1000000000]"),
+        (b'{"tail_tol": 1}', "tail_tol must lie in (0, 1)"),
         (b"[1, 2]", "config config.json must be a JSON object"),
         (b'{"mc": null}', "mc must be a JSON object"),
         (b"\xff\xfe", "cannot read config config.json"),
     ],
     ids=[
         "steps", "steps-bool", "steps-huge", "pairs", "mu-peak", "workers", "samples-huge",
-        "document", "mc-null", "not-utf8",
+        "tail-tol-one", "document", "mc-null", "not-utf8",
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, text, message):

@@ -3,7 +3,7 @@ the one-shot reference and its working set, the frozen sample stream and
 worker-count invariance, and compare's verdict on constructed count matrices."""
 
 import math
-import multiprocessing.pool
+import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
@@ -122,13 +122,15 @@ def test_empirical_pnd_working_set_does_not_grow_with_blocks():
 
 
 def sample(p, n_samples, seed, n_workers):
-    with sampling_pool(n_workers, n_samples) as count_map:
-        return empirical_pnd(p, n_samples, seed, count_map)
+    with sampling_pool(n_workers, n_samples) as pool:
+        return empirical_pnd(p, n_samples, seed, pool)
 
 
-def test_counts_identical_across_worker_counts():
+def test_counts_identical_across_worker_counts(monkeypatch):
+    # 6 blocks: 4 workers take uneven shares of 2, 2, 1 and 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
-    runs = [sample(p, 5 * 65536 + 123, 99, w) for w in (1, 2, 3)]
+    runs = [sample(p, 5 * 65536 + 123, 99, w) for w in (1, 2, 3, 4)]
     for run in runs[1:]:
         assert np.array_equal(run.counts, runs[0].counts)
         assert run.overflow_count == runs[0].overflow_count
@@ -157,7 +159,8 @@ def test_overflow_counted_and_worker_invariant():
     ],
 )
 def test_sampling_pool_is_capped(pool_sizes, monkeypatch, n_blocks, n_workers, cpus, sizes):
-    # the cap changes the pool only: every block, with its own seed, is still counted once
+    # the cap changes the pool only: every block, with its own seed, is still
+    # counted once, share by share (blocks k, k + shares, ... in share k)
     seen = []
 
     def count_block(task):
@@ -170,8 +173,9 @@ def test_sampling_pool_is_capped(pool_sizes, monkeypatch, n_blocks, n_workers, c
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
     emp = sample(p, n, 99, n_workers)
     assert pool_sizes == sizes
-    plan = [(99, b, mc_oracle._BLOCK) for b in range(n_blocks - 1)] + [(99, n_blocks - 1, 17)]
-    assert seen == plan
+    shares = (sizes or [1])[0]
+    order = [b for k in range(shares) for b in range(k, n_blocks, shares)]
+    assert seen == [(99, b, mc_oracle._BLOCK if b < n_blocks - 1 else 17) for b in order]
     assert emp.counts.tolist() == [[n]]
 
 
@@ -187,26 +191,23 @@ def count_block_failing_at_3(task):
     return count_block_stub(task)
 
 
-def count_block_wide(task):
-    return np.ones((100, 100), dtype=np.int64), 0
-
-
 def test_pool_memory_does_not_grow_with_blocks(monkeypatch):
     # a ProcessPoolExecutor's map holds one future per block before it yields
     # the first result: its traced peak went from 98 KB at 40 blocks to
-    # 4.29 MB at 2,000, and the lazy imap's from at most 34 KB to at most
-    # 215 KB, on a loaded machine too; 512 KiB of growth lies between the two
+    # 4.29 MB at 2,000, a lazy per-block imap's from at most 34 KB to at most
+    # 215 KB, on a loaded machine too, and one share per worker reads 12-14 KB
+    # at both; the bound allows 512 KiB of growth
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(mc_oracle, "_count_block", count_block_stub)
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
     peaks = []
-    with sampling_pool(2, 2000 * mc_oracle._BLOCK) as count_map:
-        empirical_pnd(p, 4 * mc_oracle._BLOCK, 5, count_map)
+    with sampling_pool(2, 2000 * mc_oracle._BLOCK) as pool:
+        empirical_pnd(p, 4 * mc_oracle._BLOCK, 5, pool)
         for n_blocks in (40, 2000):
             n = n_blocks * mc_oracle._BLOCK
             tracemalloc.start()
             try:
-                emp = empirical_pnd(p, n, 5, count_map)
+                emp = empirical_pnd(p, n, 5, pool)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -214,27 +215,25 @@ def test_pool_memory_does_not_grow_with_blocks(monkeypatch):
     assert peaks[1] - peaks[0] <= 512 * 2**10
 
 
-def test_pool_parent_does_not_wake_per_result(monkeypatch):
-    # a Pool's worker handler that also waits on the result pipe returns from
-    # every wait while a result is still being read: 761 waits over these 200
-    # blocks of 80 KB results, CPU the parent takes from the workers.  Waking
-    # only when a worker exits or the pool changes state takes two.
-    waits = []
-    wait = multiprocessing.pool.wait
-
-    def counted_wait(*args, **kwargs):
-        waits.append(1)
-        return wait(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool, "wait", counted_wait)
+def test_pool_gets_one_task_per_worker(monkeypatch):
+    # a task per block had the parent feed the pool and read a result once
+    # per block; one share per worker is two tasks at any block count
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(mc_oracle, "_count_block", count_block_wide)
+    monkeypatch.setattr(mc_oracle, "_count_block", count_block_stub)
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
-    n = 200 * mc_oracle._BLOCK
-    with sampling_pool(2, n) as count_map:
-        emp = empirical_pnd(p, n, 5, count_map)
-        assert len(waits) <= 10
-    assert emp.counts.sum() == 200 * 100 * 100
+    handed = []
+    with sampling_pool(2, 2000 * mc_oracle._BLOCK) as (pool_map, shares):
+
+        def counted_map(fn, tasks):
+            tasks = list(tasks)
+            handed.append(len(tasks))
+            return pool_map(fn, tasks)
+
+        for n_blocks in (40, 2000):
+            n = n_blocks * mc_oracle._BLOCK
+            emp = empirical_pnd(p, n, 5, (counted_map, shares))
+            assert emp.counts.tolist() == [[n]]
+    assert handed == [2, 2]
 
 
 def test_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
@@ -243,8 +242,8 @@ def test_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
     n = 40 * mc_oracle._BLOCK
     with pytest.raises(DomainError, match="block 3 failed"):
-        with sampling_pool(2, n) as count_map:
-            empirical_pnd(p, n, 5, count_map)
+        with sampling_pool(2, n) as pool:
+            empirical_pnd(p, n, 5, pool)
     assert multiprocessing.active_children() == []
 
 
