@@ -17,9 +17,10 @@ run; each separation hands each worker one task, its share of the Monte
 Carlo blocks.  scan computes in this process.  A setting comes from the
 defaults, then the --config file, then its option, the later winning;
 the file is a JSON object laid out as config_to_dict writes it, holding
-any subset of the settings.  An integer setting
-refuses a bool or a number with a fraction, and mu_peak is [re],
-[re, im] or a number (re or re,im as an option).  An output path
+any subset of the settings.  A numeric setting refuses a bool, an
+integer setting also a number with a fraction, and output_path anything
+but a string; mu_peak is [re], [re, im] or a number (re or re,im as an
+option).  An output path
 (scan's and pnd's --out) ending in .json gets JSON, any other gets CSV.
 Every JSON output is strict JSON: a non-finite number, such as a
 validate report's max_abs_z when no cell qualifies, is written as null.

@@ -90,15 +90,18 @@ def sampling_pool(n_workers: int, n_samples: int):
 
     A multiprocessing Pool forks all its workers when it is created, so it
     gets none beyond the blocks of one run or the CPUs, and one share per
-    worker; one worker is no pool, but the builtin map and one share.
+    worker; one worker is no pool, but the builtin map and one share.  The
+    start method is fork, named rather than left to the platform's default,
+    so the workers inherit this process's imported modules as they are.
     """
     workers = min(n_workers, -(-n_samples // _BLOCK), os.cpu_count() or 1)
     if workers < 2:
         yield map, 1
     else:
-        from multiprocessing.pool import Pool  # one-worker runs never load it
+        import multiprocessing  # one-worker runs never load the pool
+        from multiprocessing.pool import Pool
 
-        with Pool(workers) as pool:
+        with Pool(workers, context=multiprocessing.get_context("fork")) as pool:
             yield pool.map, workers
 
 

@@ -188,12 +188,26 @@ def _int(v) -> int:
     return int(v)
 
 
+def _float(v) -> float:
+    """A real setting; a bool is refused, not read as 0 or 1."""
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _str(v) -> str:
+    """A path setting; anything but a string is refused, not turned into its text."""
+    if not isinstance(v, str):
+        raise ValueError(f"expected a string, got {v!r}")
+    return v
+
+
 def _complex(v) -> complex:
     """mu_peak from [re], [re, im] or a number."""
     parts = v if isinstance(v, (list, tuple)) else [v]
     if len(parts) not in (1, 2):
         raise ValueError(f"expected [re], [re, im] or a number, got {v!r}")
-    return complex(*map(float, parts))
+    return complex(*map(_float, parts))
 
 
 def _build(cls, doc):
@@ -220,9 +234,9 @@ def _build(cls, doc):
 # the one coercion of every setting, from a file or an option, keyed by the
 # field annotations as written (strings under `from __future__ import annotations`)
 _COERCE = {
-    "float": float,
+    "float": _float,
     "int": _int,
-    "str": str,
+    "str": _str,
     "complex": _complex,
     "tuple": lambda v: tuple((_int(n), _int(m)) for n, m in v),  # pairs
     "BeamProfile": lambda v: _build(BeamProfile, v),

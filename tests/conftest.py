@@ -7,16 +7,16 @@ import pytest
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The processes of every multiprocessing.pool.Pool made, in order.
+    """(processes, start method) of every multiprocessing.pool.Pool made, in order.
 
     The pool is a stand-in that maps in this process, in task order, so no
-    worker is forked.
+    worker is forked.  A pool made without a context records None.
     """
     sizes = []
 
     class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, processes, context=None):
+            sizes.append((processes, context and context.get_start_method()))
 
         def __enter__(self):
             return self

@@ -436,13 +436,18 @@ def test_zero_workers_is_config_error_from_any_source(tmp_path, source):
         (b'{"mc": {"n_workers": 2.5}}', "invalid n_workers"),
         (b'{"mc": {"n_samples": 1e20}}', "n_samples must lie in [1, 1000000000]"),
         (b'{"tail_tol": 1}', "tail_tol must lie in (0, 1)"),
+        (b'{"output_path": null, "steps": 2}', "invalid output_path"),
+        (b'{"output_path": 5}', "invalid output_path"),
+        (b'{"profile": {"n_peak": true}}', "invalid n_peak"),
+        (b'{"profile": {"mu_peak": [true]}}', "invalid mu_peak"),
         (b"[1, 2]", "config config.json must be a JSON object"),
         (b'{"mc": null}', "mc must be a JSON object"),
         (b"\xff\xfe", "cannot read config config.json"),
     ],
     ids=[
         "steps", "steps-bool", "steps-huge", "pairs", "mu-peak", "workers", "samples-huge",
-        "tail-tol-one", "document", "mc-null", "not-utf8",
+        "tail-tol-one", "output-path-null", "output-path-number", "n-peak-bool",
+        "mu-peak-bool", "document", "mc-null", "not-utf8",
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, text, message):
@@ -543,7 +548,7 @@ def test_validate_forks_one_pool(tmp_path, monkeypatch, pool_sizes, samples, siz
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     argv = ["validate", "--samples", samples, "--workers", "2"]
     assert main(argv + ["--report", str(tmp_path / "report.json")]) == 0
-    assert pool_sizes == sizes
+    assert pool_sizes == [(size, "fork") for size in sizes]
 
 
 def test_validate_report_independent_of_workers(tmp_path):

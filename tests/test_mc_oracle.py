@@ -172,7 +172,7 @@ def test_sampling_pool_is_capped(pool_sizes, monkeypatch, n_blocks, n_workers, c
     n = (n_blocks - 1) * mc_oracle._BLOCK + 17
     p = TwoPointParams(n1=0.8, n2=0.6, g=0.7, mu1=1.0 + 0j, mu2=0.5j)
     emp = sample(p, n, 99, n_workers)
-    assert pool_sizes == sizes
+    assert pool_sizes == [(size, "fork") for size in sizes]
     shares = (sizes or [1])[0]
     order = [b for k in range(shares) for b in range(k, n_blocks, shares)]
     assert seen == [(99, b, mc_oracle._BLOCK if b < n_blocks - 1 else 17) for b in order]

@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qgs"
 PRODUCT = ("cli", "scan", "fock_stats", "source_model", "mc_oracle", "errors")
-TEST_ONLY = ("oracles", "specfun", "ddouble")
+TEST_ONLY = ("oracles", "specfun")
 
 # test-only today, each kept until the ROADMAP item named here decides it
 WAITING_NAMES = {
